@@ -46,7 +46,6 @@ from .expr import (
     jet,
     jets_of,
     normalize,
-    register_derivative,
     space_var,
     subst,
     subst_many,

@@ -58,12 +58,8 @@ from .lie import (
     residual_check,
 )
 from .parser import ProblemSpec, parse_expression, parse_problem, render
-from .reference import (
-    CatalogEntry,
-    catalog,
-    compare_series_to_reference,
-    convergence_slope,
-)
+from .reference import CatalogEntry, catalog, compare_series_to_reference
+from .render import _format_const
 
 MAX_UNFORCED_ORDER = 12
 INVERSE_IDENTITY_TOL = 1e-11
@@ -101,7 +97,7 @@ def _problem_echo(p: ProblemSpec, order: int) -> dict:
         "time": {"name": p.time_name,
                  "initial": p.initial_name
                  if p.initial_name is not None
-                 else _const_text(p.initial_time)},
+                 else _format_const(p.initial_time.value)},
         "fields": list(p.field_names),
         "rhs": {name: render(rhs, p, style="field")
                 for name, rhs in zip(p.field_names, p.rhs)},
@@ -112,13 +108,6 @@ def _problem_echo(p: ProblemSpec, order: int) -> dict:
     if p.param_names:
         echo["params"] = list(p.param_names)
     return echo
-
-
-def _const_text(e: Expr) -> str:
-    value = e.value  # type: ignore[attr-defined]
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +165,8 @@ def _load_problem(path: str) -> ProblemSpec:
     return parse_problem(text)
 
 
-def _effective_order(args, problem: ProblemSpec) -> int:
-    order = args.order if args.order is not None else problem.order
+def _effective_order(args, default: int) -> int:
+    order = args.order if args.order is not None else default
     if order < 0:
         raise InputError("order must be non-negative")
     if order > MAX_UNFORCED_ORDER and not args.allow_high_order:
@@ -200,7 +189,7 @@ def _float_list(text: str, what: str) -> list[float]:
 
 def cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
-    order = _effective_order(args, problem)
+    order = _effective_order(args, problem.order)
     sol = lie_coefficients(build_generator(problem), order,
                            term_budget=args.term_budget)
     if args.format == "text":
@@ -261,7 +250,7 @@ def _parse_initial_exprs(text: str, problem: ProblemSpec) -> list[Expr]:
 
 def cmd_eval(args) -> int:
     problem = _load_problem(args.problem)
-    order = _effective_order(args, problem)
+    order = _effective_order(args, problem.order)
     sol = lie_coefficients(build_generator(problem), order,
                            term_budget=args.term_budget)
     t_values = _float_list(args.t, "--t")
@@ -274,11 +263,11 @@ def cmd_eval(args) -> int:
             raise InputError("pde evaluation needs --x sample points")
         x_values = _float_list(args.x, "--x")
         initial_exprs = _parse_initial_exprs(args.ic, problem)
+        binds = [initial_jet_bindings(sol, initial_exprs, [x])
+                 for x in x_values]
         for t in t_values:
-            for x in x_values:
-                bind = initial_jet_bindings(sol, initial_exprs, [x])
-                values = eval_series(sol, t, bind)
-                rows.append((t, x, values))
+            for x, bind in zip(x_values, binds):
+                rows.append((t, x, eval_series(sol, t, bind)))
     else:
         if args.x is not None:
             raise InputError("--x applies to pde problems only")
@@ -357,18 +346,25 @@ def _verify_dyson(seed: int) -> list[dict]:
     return reports
 
 
+def _product_test_function(p: ProblemSpec) -> Expr:
+    """G = c*c_x for a pde (x the first space variable), c^2 otherwise."""
+    c0 = Sym(p.jet_symbol(0))
+    if p.kind == "pde":
+        first = tuple(1 if j == 0 else 0 for j in range(len(p.space_names)))
+        return normalize(Mul((c0, Sym(p.jet_symbol(0, first)))))
+    return normalize(Mul((c0, c0)))
+
+
 def _homomorphism_cases(entry: CatalogEntry) -> list[tuple[str, Expr]]:
     p = entry.problem
-    c0 = Sym(p.jet_symbol(0))
+    G = _product_test_function(p)
     if p.kind == "pde":
         if entry.name not in ("heat", "burgers"):
             return []
-        first = tuple(1 if j == 0 else 0 for j in range(len(p.space_names)))
-        cx = Sym(p.jet_symbol(0, first))
-        return [(render(normalize(Mul((c0, cx))), p),
-                 Mul((c0, cx)))]
+        return [(render(G, p), G)]
     alias = p.initial_alias(0)
-    return [(f"{alias}^2", Mul((c0, c0))), (f"{alias}^3", Mul((c0, c0, c0)))]
+    return [(f"{alias}^2", G),
+            (f"{alias}^3", normalize(Mul((G, Sym(p.jet_symbol(0))))))]
 
 
 def _verify_homomorphism(order: int) -> list[dict]:
@@ -376,7 +372,7 @@ def _verify_homomorphism(order: int) -> list[dict]:
     for entry in catalog():
         g = build_generator(entry.problem)
         for label, G in _homomorphism_cases(entry):
-            rep = check_homomorphism(g, normalize(G), order)
+            rep = check_homomorphism(g, G, order)
             reports.append(_report(
                 f"homomorphism [{entry.name}, G={label}]", rep.passed,
                 rep.summary()))
@@ -385,7 +381,7 @@ def _verify_homomorphism(order: int) -> list[dict]:
 
 def _verify_file(args) -> list[dict]:
     problem = _load_problem(args.problem)
-    order = _effective_order(args, problem)
+    order = _effective_order(args, problem.order)
     sol = lie_coefficients(build_generator(problem), order,
                            term_budget=args.term_budget)
     reports = []
@@ -417,15 +413,8 @@ def _verify_file(args) -> list[dict]:
             reports.append(_report("chronological equivalence", True,
                                    f"skipped: {exc}"))
 
-    c0 = Sym(problem.jet_symbol(0))
-    if problem.kind == "pde":
-        first = tuple(1 if j == 0 else 0
-                      for j in range(len(problem.space_names)))
-        G = Mul((c0, Sym(problem.jet_symbol(0, first))))
-    else:
-        G = Mul((c0, c0))
-    hom = check_homomorphism(build_generator(problem), normalize(G),
-                             min(order, 5))
+    hom = check_homomorphism(build_generator(problem),
+                             _product_test_function(problem), min(order, 5))
     reports.append(_report("homomorphism", hom.passed, hom.summary()))
     return reports
 
@@ -437,11 +426,7 @@ def cmd_verify(args) -> int:
         reports = _verify_file(args)
     else:
         suite = args.suite or "all"
-        order = args.order if args.order is not None else 6
-        if order > MAX_UNFORCED_ORDER and not args.allow_high_order:
-            raise InputError(
-                f"order {order} exceeds {MAX_UNFORCED_ORDER}; pass "
-                "--allow-high-order to proceed")
+        order = _effective_order(args, 6)
         reports = []
         if suite in ("catalog", "all"):
             reports += _verify_catalog(order)
@@ -475,6 +460,25 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+# eval's value options, whose values may start with '-' (-sin(x), -3.0,1.0).
+_DASH_VALUE_OPTIONS = ("--ic", "--t", "--x")
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--t -0.1,0.1`` as ``--t=-0.1,0.1`` for eval's value options.
+    argparse reads a token that starts with '-' and is not a lone number as
+    an option, so such a value would otherwise be rejected.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in _DASH_VALUE_OPTIONS
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -525,8 +529,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -38,7 +38,12 @@ from .expr import (
     symbols_of,
     term_count,
 )
-from .lie import build_generator, lie_coefficients, taylor_coefficients
+from .lie import (
+    DEFAULT_TERM_BUDGET,
+    build_generator,
+    lie_coefficients,
+    taylor_coefficients,
+)
 from .parser import ProblemSpec
 
 MAX_MATRIX_DIM = 16
@@ -124,7 +129,7 @@ def _poly_compose(rhs: Expr, state: dict, cap: int | None) -> list[Expr]:
 
 
 def picard_iterate(p: ProblemSpec, k: int, max_degree: int | None = None,
-                   term_budget: int = 10 ** 6) -> PicardIterate:
+                   term_budget: int = DEFAULT_TERM_BUDGET) -> PicardIterate:
     """k rounds of u^(j) = c - int_a^t F(tau, u^(j-1)(tau)) dtau with exact
     polynomial integration.
 
@@ -132,6 +137,17 @@ def picard_iterate(p: ProblemSpec, k: int, max_degree: int | None = None,
     for quadratic rhs); max_degree drops powers of (t - a) beyond the bound,
     which cannot change the coefficients at or below it, since degrees only
     grow under multiplication and integration.
+    """
+    columns = _picard_columns(p, k, max_degree, term_budget)
+    fields = tuple(_assemble_poly(column, p.initial_time)
+                   for column in columns)
+    return PicardIterate(problem=p, k=k, fields=fields)
+
+
+def _picard_columns(p: ProblemSpec, k: int, max_degree: int | None,
+                    term_budget: int) -> list[list[Expr]]:
+    """The coefficients of (t - a)^n of every field of picard_iterate's
+    k-th iterate, lowest order first.
     """
     _require_polynomial_rhs(p)
     n = p.n_fields
@@ -160,9 +176,7 @@ def picard_iterate(p: ProblemSpec, k: int, max_degree: int | None = None,
                         f"Picard iterate exceeds {term_budget} monomials")
             new_columns.append(column)
         columns = new_columns
-    fields = tuple(_assemble_poly(columns[i], p.initial_time)
-                   for i in range(n))
-    return PicardIterate(problem=p, k=k, fields=fields)
+    return columns
 
 
 def _time_degree(rhs: Expr) -> int:
@@ -225,15 +239,16 @@ class EquivalenceReport:
 
 
 def chron_equiv_check(p: ProblemSpec, order: int) -> EquivalenceReport:
-    """Compare picard_iterate(p, order) and lie_coefficients term by term."""
-    picard = picard_iterate(p, order, max_degree=order)
+    """Compare the coefficients of picard_iterate(p, order) and
+    lie_coefficients term by term.
+    """
+    picard = _picard_columns(p, order, order, DEFAULT_TERM_BUDGET)
     series = lie_coefficients(build_generator(p), order)
     rows = []
     failing_field = None
     failing_order = None
     for i in range(p.n_fields):
-        picard_coeffs = taylor_coefficients(
-            picard.fields[i], p.initial_time, order)
+        picard_coeffs = picard[i] + [ZERO] * (order + 1 - len(picard[i]))
         row = tuple(picard_coeffs[n] == series.coeffs[i][n]
                     for n in range(order + 1))
         rows.append(row)

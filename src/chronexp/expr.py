@@ -22,8 +22,6 @@ from .errors import (
     UnsupportedFunction,
 )
 
-Rational = Fraction
-
 
 # ---------------------------------------------------------------------------
 # Symbols
@@ -178,7 +176,62 @@ ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
 MINUS_ONE = Const(Fraction(-1))
 
-FUNCTION_NAMES = ("sin", "cos", "exp", "ln", "sqrt")
+
+# ---------------------------------------------------------------------------
+# Elementary functions
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Elementary:
+    """Everything the kernel knows about one elementary function: d/du as a
+    tree in the argument u, the IEEE-double value, and the exact value at a
+    rational argument (None when it is not rational).
+    """
+
+    derivative: Callable[[Expr], Expr]
+    numeric: Callable[[float], float]
+    fold: Callable[[Fraction], Fraction | None]
+
+
+def _value_at(point: int, value: int) -> Callable[[Fraction], Fraction | None]:
+    return lambda x: Fraction(value) if x == point else None
+
+
+def _ln(x: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"ln of non-positive value {x}")
+    return math.log(x)
+
+
+def _sqrt(x: float) -> float:
+    if x < 0.0:
+        raise DomainError(f"sqrt of negative value {x}")
+    return math.sqrt(x)
+
+
+def _exact_sqrt(x: Fraction) -> Fraction | None:
+    if x < 0:
+        return None
+    num = math.isqrt(x.numerator)
+    den = math.isqrt(x.denominator)
+    if num * num == x.numerator and den * den == x.denominator:
+        return Fraction(num, den)
+    return None
+
+
+# The one table of elementary functions: the parser accepts exactly these
+# names, and differentiation, evaluation and normalize's folds read their
+# rules from here.
+ELEMENTARY: dict[str, Elementary] = {
+    "sin": Elementary(lambda u: Func("cos", u), math.sin, _value_at(0, 0)),
+    "cos": Elementary(lambda u: Mul((MINUS_ONE, Func("sin", u))), math.cos,
+                      _value_at(0, 1)),
+    "exp": Elementary(lambda u: Func("exp", u), math.exp, _value_at(0, 1)),
+    "ln": Elementary(lambda u: Pow(u, -1), _ln, _value_at(1, 0)),
+    "sqrt": Elementary(
+        lambda u: Mul((Const(Fraction(1, 2)), Pow(Func("sqrt", u), -1))),
+        _sqrt, _exact_sqrt),
+}
 
 
 def _coerce(value) -> Expr:
@@ -222,25 +275,6 @@ def sort_key(e: Expr) -> tuple:
 
 _Mono = tuple
 _Terms = dict
-
-_EXACT_FUNC_VALUES = {
-    ("sin", Fraction(0)): Fraction(0),
-    ("cos", Fraction(0)): Fraction(1),
-    ("exp", Fraction(0)): Fraction(1),
-    ("ln", Fraction(1)): Fraction(0),
-}
-
-
-def _fold_function(name: str, value: Fraction) -> Fraction | None:
-    hit = _EXACT_FUNC_VALUES.get((name, value))
-    if hit is not None:
-        return hit
-    if name == "sqrt" and value >= 0:
-        num = math.isqrt(value.numerator)
-        den = math.isqrt(value.denominator)
-        if num * num == value.numerator and den * den == value.denominator:
-            return Fraction(num, den)
-    return None
 
 
 def _mono_of(atom: Expr, exponent: int = 1) -> _Mono:
@@ -358,8 +392,9 @@ def _terms(e: Expr) -> _Terms:
         return _pow_terms(_terms(e.base), e.exponent)
     if isinstance(e, Func):
         arg = _build(_terms(e.arg))
-        if isinstance(arg, Const):
-            folded = _fold_function(e.name, arg.value)
+        entry = ELEMENTARY.get(e.name)
+        if isinstance(arg, Const) and entry is not None:
+            folded = entry.fold(arg.value)
             if folded is not None:
                 if folded == 0:
                     return {}
@@ -400,20 +435,6 @@ def term_count(e: Expr) -> int:
 # Differentiation
 # ---------------------------------------------------------------------------
 
-DERIVATIVE_RULES: dict[str, Callable[[Expr], Expr]] = {
-    "sin": lambda u: Func("cos", u),
-    "cos": lambda u: Mul((MINUS_ONE, Func("sin", u))),
-    "exp": lambda u: Func("exp", u),
-    "ln": lambda u: Pow(u, -1),
-    "sqrt": lambda u: Mul((Const(Fraction(1, 2)), Pow(Func("sqrt", u), -1))),
-}
-
-
-def register_derivative(name: str, rule: Callable[[Expr], Expr]) -> None:
-    """Register d/du rule for a function name (rule maps arg -> derivative)."""
-    DERIVATIVE_RULES[name] = rule
-
-
 def _diff(e: Expr, sym: Symbol) -> Expr:
     if isinstance(e, Const):
         return ZERO
@@ -431,10 +452,10 @@ def _diff(e: Expr, sym: Symbol) -> Expr:
         return Mul((Const(Fraction(e.exponent)), Pow(e.base, e.exponent - 1),
                     _diff(e.base, sym)))
     if isinstance(e, Func):
-        rule = DERIVATIVE_RULES.get(e.name)
-        if rule is None:
+        entry = ELEMENTARY.get(e.name)
+        if entry is None:
             raise UnsupportedFunction(f"no derivative rule for '{e.name}'")
-        return Mul((rule(e.arg), _diff(e.arg, sym)))
+        return Mul((entry.derivative(e.arg), _diff(e.arg, sym)))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -504,21 +525,10 @@ def eval_num(e: Expr, bindings: Mapping[Symbol, float]) -> float:
         return base ** e.exponent
     if isinstance(e, Func):
         x = eval_num(e.arg, bindings)
-        if e.name == "sin":
-            return math.sin(x)
-        if e.name == "cos":
-            return math.cos(x)
-        if e.name == "exp":
-            return math.exp(x)
-        if e.name == "ln":
-            if x <= 0.0:
-                raise DomainError(f"ln of non-positive value {x}")
-            return math.log(x)
-        if e.name == "sqrt":
-            if x < 0.0:
-                raise DomainError(f"sqrt of negative value {x}")
-            return math.sqrt(x)
-        raise UnsupportedFunction(f"no numeric rule for '{e.name}'")
+        entry = ELEMENTARY.get(e.name)
+        if entry is None:
+            raise UnsupportedFunction(f"no numeric rule for '{e.name}'")
+        return entry.numeric(x)
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 from .errors import ExpressionBlowup, NonPolynomialRhs
 from .expr import (
@@ -60,31 +61,43 @@ DEFAULT_TERM_BUDGET = 10 ** 6
 class Generator:
     """The derivation A for one problem: right-hand sides with the time
     symbol renamed to the auxiliary symbol, plus the -d/ds term.
+    ``derived_rhs(jet(k, alpha))`` is D_x^alpha of the k-th of them.
     """
 
     problem: ProblemSpec
     substituted_rhs: tuple[Expr, ...]
-    _dcache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def derived_rhs(self, index: int, orders: tuple[int, ...]) -> Expr:
-        """D_x^orders applied to F_index, memoized order by order."""
-        key = (index, orders)
-        hit = self._dcache.get(key)
-        if hit is not None:
-            return hit
-        if not any(orders):
-            value = self.substituted_rhs[index]
-        else:
-            j = next(i for i, k in enumerate(orders) if k)
-            lower = tuple(k - 1 if i == j else k for i, k in enumerate(orders))
-            value = total_derivative(self.derived_rhs(index, lower), j)
-        self._dcache[key] = value
-        return value
+    derived_rhs: Callable[[Symbol], Expr] = field(compare=False, repr=False)
 
 
 def build_generator(p: ProblemSpec) -> Generator:
     substituted = tuple(subst(f, TIME, Sym(AUX)) for f in p.rhs)
-    return Generator(p, substituted)
+    return Generator(p, substituted, jet_derivatives(substituted))
+
+
+def jet_derivatives(bases: Sequence[Expr]) -> Callable[[Symbol], Expr]:
+    """Memoized D_x^alpha bases[k] for the jet symbol (k, alpha).
+
+    The bases must be canonical.  The first nonzero order of alpha is
+    lowered one step at a time with total_derivative, so every intermediate
+    derivative is computed once and shared.
+    """
+    cache: dict[Symbol, Expr] = {}
+
+    def derive(jsym: Symbol) -> Expr:
+        hit = cache.get(jsym)
+        if hit is None:
+            orders = jsym.orders
+            if not any(orders):
+                hit = bases[jsym.index]
+            else:
+                j = next(i for i, n in enumerate(orders) if n)
+                lower = tuple(n - 1 if i == j else n
+                              for i, n in enumerate(orders))
+                hit = total_derivative(derive(jet(jsym.index, lower)), j)
+            cache[jsym] = hit
+        return hit
+
+    return derive
 
 
 def total_derivative(e: Expr, space_index: int) -> Expr:
@@ -105,7 +118,7 @@ def apply_generator(g: Generator, e: Expr) -> Expr:
     """
     pieces = [Mul((Const(Fraction(-1)), diff(e, AUX)))]
     for jsym in jets_of(e):
-        rate = g.derived_rhs(jsym.index, jsym.orders)
+        rate = g.derived_rhs(jsym)
         pieces.append(Mul((rate, diff(e, jsym))))
     return normalize(Add(tuple(pieces)))
 
@@ -137,12 +150,15 @@ class SeriesSolution:
                     raise ValueError("coefficients must not contain t or s")
 
 
-def _series_chain(g: Generator, seed: Expr, order: int,
-                  term_budget: int) -> list[Expr]:
-    """[(-1)^n/n! A^n[seed] at s=a] for n = 0..order."""
+def apply_series_to_function(g: Generator, G: Expr, order: int,
+                             term_budget: int = DEFAULT_TERM_BUDGET) -> list[Expr]:
+    """Lie series seeded with an arbitrary jet expression G:
+    [(-1)^n/n! A^n[G] at s=a] for n = 0..order.  Seeding with a bare c_i
+    gives the corresponding lie_coefficients column.
+    """
     point = g.problem.initial_time
     out: list[Expr] = []
-    current = normalize(seed)
+    current = normalize(G)
     sign = Fraction(1)
     for n in range(order + 1):
         if term_count(current) > term_budget:
@@ -162,22 +178,14 @@ def lie_coefficients(g: Generator, order: int,
     columns = []
     for i in range(g.problem.n_fields):
         seed = Sym(g.problem.jet_symbol(i))
-        columns.append(tuple(_series_chain(g, seed, order, term_budget)))
+        columns.append(tuple(
+            apply_series_to_function(g, seed, order, term_budget)))
     return SeriesSolution(
         problem=g.problem,
         expansion_point=g.problem.initial_time,
         order=order,
         coeffs=tuple(columns),
     )
-
-
-def apply_series_to_function(g: Generator, G: Expr, order: int,
-                             term_budget: int = DEFAULT_TERM_BUDGET) -> list[Expr]:
-    """Lie series seeded with an arbitrary jet expression G instead of c_i;
-    coefficient list [G_0, ..., G_order].  Seeding with a bare c_i
-    reproduces the corresponding lie_coefficients column.
-    """
-    return _series_chain(g, G, order, term_budget)
 
 
 def eval_series(sol: SeriesSolution, t_value: float,
@@ -204,8 +212,8 @@ def initial_jet_bindings(sol: SeriesSolution, initial_exprs: list[Expr],
     """Bindings for eval_series from closed-form initial data.
 
     initial_exprs[k] is the initial function of field k in the space
-    variables; every jet needed by the coefficients is computed by repeated
-    symbolic differentiation and evaluated at space_values.
+    variables; every jet needed by the coefficients is derived symbolically
+    and evaluated at space_values.
     """
     problem = sol.problem
     bind: dict[Symbol, float] = {}
@@ -217,25 +225,9 @@ def initial_jet_bindings(sol: SeriesSolution, initial_exprs: list[Expr],
             needed |= jets_of(coeff)
     for k in range(problem.n_fields):
         needed.add(problem.jet_symbol(k))
-    derivative_cache: dict[tuple[int, tuple[int, ...]], Expr] = {}
-
-    def derivative(k: int, orders: tuple[int, ...]) -> Expr:
-        key = (k, orders)
-        hit = derivative_cache.get(key)
-        if hit is not None:
-            return hit
-        if not any(orders):
-            value = normalize(initial_exprs[k])
-        else:
-            j = next(i for i, n in enumerate(orders) if n)
-            lower = tuple(n - 1 if i == j else n for i, n in enumerate(orders))
-            value = diff(derivative(k, lower), space_var(j))
-        derivative_cache[key] = value
-        return value
-
+    derive = jet_derivatives([normalize(e) for e in initial_exprs])
     for jsym in needed:
-        expr = derivative(jsym.index, jsym.orders)
-        bind[jsym] = eval_num(expr, bind)
+        bind[jsym] = eval_num(derive(jsym), bind)
     return bind
 
 
@@ -308,21 +300,7 @@ def residual_check(sol: SeriesSolution,
         raise ValueError("problem shapes differ, residual is not comparable")
 
     assembled = [assemble_series(sol, i) for i in range(problem.n_fields)]
-    derivative_cache: dict[Symbol, Expr] = {}
-
-    def series_jet(jsym: Symbol) -> Expr:
-        hit = derivative_cache.get(jsym)
-        if hit is not None:
-            return hit
-        if not any(jsym.orders):
-            value = assembled[jsym.index]
-        else:
-            j = next(i for i, n in enumerate(jsym.orders) if n)
-            lower = jet(jsym.index, tuple(
-                n - 1 if i == j else n for i, n in enumerate(jsym.orders)))
-            value = total_derivative(series_jet(lower), j)
-        derivative_cache[jsym] = value
-        return value
+    series_jet = jet_derivatives(assembled)
 
     failing_order = None
     failing_field = None

@@ -30,6 +30,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping
 
 from .errors import (
@@ -40,10 +41,9 @@ from .errors import (
     ValidationError,
 )
 from .expr import (
-    AUX,
     Const,
+    ELEMENTARY,
     Expr,
-    FUNCTION_NAMES,
     Func,
     INITIAL_TIME,
     Mul,
@@ -59,7 +59,7 @@ from .expr import (
     symbols_of,
     free_param,
 )
-from .render import format_expr
+from .render import format_expr, spell_symbol
 
 MAX_JET_ORDER = 8
 
@@ -116,7 +116,7 @@ def build_context(
     def declare(name: str, symbol: Symbol, what: str) -> None:
         if not _NAME_RE.match(name):
             raise ValidationError(f"invalid {what} name '{name}'")
-        if name in FUNCTION_NAMES:
+        if name in ELEMENTARY:
             raise ValidationError(f"{what} name '{name}' is a reserved function")
         clash = names.get(name)
         if clash is not None and clash != symbol:
@@ -321,7 +321,7 @@ class _Parser:
             return Const(Fraction(tok.text))
         if tok.kind == "name":
             self.take()
-            if tok.text in FUNCTION_NAMES:
+            if tok.text in ELEMENTARY:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
@@ -396,9 +396,6 @@ class ProblemSpec:
     def zero_orders(self) -> tuple[int, ...]:
         return (0,) * len(self.space_names)
 
-    def rhs_map(self) -> dict[str, Expr]:
-        return dict(zip(self.field_names, self.rhs))
-
     def jet_symbol(self, index: int, orders: tuple[int, ...] | None = None) -> Symbol:
         return jet(index, self.zero_orders if orders is None else orders)
 
@@ -415,32 +412,15 @@ class ProblemSpec:
         """Symbol-spelling function for render: style 'initial' writes jets
         as initial-data aliases (c, c_xx), style 'field' as field names.
         """
-        if style not in ("initial", "field"):
+        if style == "field":
+            jet_bases = self.field_names
+        elif style == "initial":
+            jet_bases = tuple(map(self.initial_alias, range(self.n_fields)))
+        else:
             raise ValueError(f"unknown render style '{style}'")
-
-        def name_of(symbol: Symbol) -> str:
-            if symbol.kind == SymbolKind.TIME:
-                return self.time_name
-            if symbol.kind == SymbolKind.AUX:
-                return "s"
-            if symbol.kind == SymbolKind.INITIAL_TIME:
-                return self.initial_name or "a"
-            if symbol.kind == SymbolKind.SPACE:
-                return self.space_names[symbol.index]
-            if symbol.kind == SymbolKind.PARAM:
-                return symbol.name
-            if symbol.kind == SymbolKind.JET:
-                if style == "field":
-                    base = self.field_names[symbol.index]
-                else:
-                    base = self.initial_alias(symbol.index)
-                suffix = "".join(
-                    self.space_names[j] * k
-                    for j, k in enumerate(symbol.orders))
-                return f"{base}_{suffix}" if suffix else base
-            raise ValueError(f"unnamable symbol {symbol!r}")
-
-        return name_of
+        return partial(spell_symbol, time=self.time_name,
+                       initial=self.initial_name or "a",
+                       space=self.space_names, jet_bases=jet_bases)
 
 
 _TOP_KEYS = {"kind", "time", "space", "fields", "rhs", "order", "params"}

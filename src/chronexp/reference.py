@@ -28,7 +28,12 @@ from .expr import (
     space_var,
     subst_many,
 )
-from .lie import SeriesSolution, eval_series, initial_jet_bindings
+from .lie import (
+    SeriesSolution,
+    eval_series,
+    initial_jet_bindings,
+    jet_derivatives,
+)
 from .parser import ProblemSpec, parse_expression, parse_problem
 
 RK4_REFERENCE_STEPS = 1000
@@ -124,25 +129,9 @@ class CatalogEntry:
 def _entry_defining_residual(entry: CatalogEntry) -> None:
     """Substitute the exact solution into du/dt + F = 0; exact-zero check."""
     p = entry.problem
-    cache: dict[tuple[int, tuple[int, ...]], Expr] = {}
-
-    def exact_jet(k: int, orders: tuple[int, ...]) -> Expr:
-        key = (k, orders)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if not any(orders):
-            value = normalize(entry.exact[k])
-        else:
-            j = next(i for i, m in enumerate(orders) if m)
-            lower = tuple(m - 1 if i == j else m for i, m in enumerate(orders))
-            value = diff(exact_jet(k, lower), space_var(j))
-        cache[key] = value
-        return value
-
+    exact_jet = jet_derivatives([normalize(e) for e in entry.exact])
     for i in range(p.n_fields):
-        replacement = {jsym: exact_jet(jsym.index, jsym.orders)
-                       for jsym in jets_of(p.rhs[i])}
+        replacement = {jsym: exact_jet(jsym) for jsym in jets_of(p.rhs[i])}
         residual = normalize(Add((
             diff(normalize(entry.exact[i]), TIME),
             subst_many(p.rhs[i], replacement))))

@@ -10,37 +10,49 @@ or field names (``u``, ``u_xx``).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
-from .expr import Add, Const, Expr, Func, Mul, Pow, Sym, Symbol, SymbolKind
+from .expr import (
+    Add,
+    Const,
+    Expr,
+    Func,
+    Mul,
+    Pow,
+    Sym,
+    Symbol,
+    SymbolKind,
+    space_var,
+)
 
 SPACE_LETTERS = ("x", "y", "z")
 
 
-def space_letter(index: int) -> str:
-    if index < len(SPACE_LETTERS):
-        return SPACE_LETTERS[index]
-    return f"x{index}"
-
-
-def jet_suffix(orders: tuple[int, ...]) -> str:
-    return "".join(space_letter(j) * k for j, k in enumerate(orders))
-
-
-def default_namer(symbol: Symbol) -> str:
-    if symbol.kind == SymbolKind.TIME:
-        return "t"
-    if symbol.kind == SymbolKind.AUX:
-        return "s"
-    if symbol.kind == SymbolKind.INITIAL_TIME:
-        return "a"
-    if symbol.kind == SymbolKind.SPACE:
-        return space_letter(symbol.index)
-    if symbol.kind == SymbolKind.JET:
-        base = "c" if symbol.index == 0 else f"c{symbol.index + 1}"
-        suffix = jet_suffix(symbol.orders)
+def spell_symbol(symbol: Symbol, time: str = "t", initial: str = "a",
+                 space: Sequence[str] = SPACE_LETTERS,
+                 jet_bases: Sequence[str] = ("c",)) -> str:
+    """Spell ``symbol`` from name tables: ``space[j]`` names space variable
+    j and ``jet_bases[k]`` the jets of field k, which take the letters of
+    their derivatives as a suffix (``c_xx``).  Indices past a table's end
+    are spelled ``x3``, ``x4``, ... and ``c2``, ``c3``, ...
+    """
+    kind = symbol.kind
+    if kind == SymbolKind.JET:
+        k = symbol.index
+        base = jet_bases[k] if k < len(jet_bases) else f"c{k + 1}"
+        suffix = "".join(spell_symbol(space_var(j), space=space) * n
+                         for j, n in enumerate(symbol.orders) if n)
         return f"{base}_{suffix}" if suffix else base
-    if symbol.kind == SymbolKind.PARAM:
+    if kind == SymbolKind.SPACE:
+        j = symbol.index
+        return space[j] if j < len(space) else f"x{j}"
+    if kind == SymbolKind.TIME:
+        return time
+    if kind == SymbolKind.AUX:
+        return "s"
+    if kind == SymbolKind.INITIAL_TIME:
+        return initial
+    if kind == SymbolKind.PARAM:
         return symbol.name
     raise ValueError(f"unnamable symbol {symbol!r}")
 
@@ -51,7 +63,7 @@ def _format_const(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def format_expr(e: Expr, namer: Callable[[Symbol], str] = default_namer) -> str:
+def format_expr(e: Expr, namer: Callable[[Symbol], str] = spell_symbol) -> str:
     """Render ``e``; parenthesization follows operator precedence."""
 
     def atom(node: Expr) -> str:

@@ -163,6 +163,25 @@ class TestEval:
         assert doc["evaluations"] == [
             {"t": 0.1, "values": {"u": doc["evaluations"][0]["values"]["u"]}}]
 
+    def test_negative_initial_expression(self, capsys):
+        code, out, _ = run(capsys, "eval", fx("heat"), "--ic", "-sin(x)",
+                           "--t", "0.1", "--x", "0.5")
+        assert code == 0
+        assert math.isclose(float(out.split()[2]),
+                            -math.exp(-0.1) * math.sin(0.5), abs_tol=5e-9)
+
+    def test_negative_sample_points(self, capsys):
+        code, out, _ = run(capsys, "eval", fx("heat"), "--ic", "sin(x)",
+                           "--t", "0.1", "--x", "-3.0,1.0")
+        assert code == 0
+        assert [line.split()[1] for line in out.splitlines()] == ["-3", "1"]
+
+    def test_negative_times(self, capsys):
+        code, out, _ = run(capsys, "eval", fx("riccati"), "--ic", "c=1",
+                           "--t", "-0.1,0.1", "--order", "8")
+        assert code == 0
+        assert out == "-0.1\t1.11111111\n0.1\t0.90909091\n"
+
     @pytest.mark.parametrize("argv,needle", [
         (("eval",), "usage"),
         (("eval", "FIX:heat", "--ic", "sin(x)", "--t", "0.05"), "--x"),
@@ -245,6 +264,14 @@ class TestVerify:
         assert doc["reports"]
         assert all(r["passed"] for r in doc["reports"])
         assert {"name", "passed", "detail"} == set(doc["reports"][0])
+
+    @pytest.mark.parametrize("suite", ["catalog", "homomorphism"])
+    def test_suite_rejects_negative_order(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--order", "-1")
+        assert code == 1
+        assert out == ""
+        assert "order must be non-negative" in err
 
     def test_path_and_suite_conflict(self, capsys):
         code, _, err = run(capsys, "verify", fx("riccati"),
