@@ -38,7 +38,6 @@ from .expr import (
     SymbolKind,
     TIME,
     ZERO,
-    coefficients_in,
     const,
     diff,
     eval_num,
@@ -71,7 +70,6 @@ from .lie import (
     assemble_series,
     build_generator,
     check_homomorphism,
-    compose_with_series,
     eval_series,
     initial_jet_bindings,
     lie_coefficients,

@@ -23,28 +23,22 @@ import numpy as np
 
 from .errors import ExpressionBlowup, NonPolynomialRhs
 from .expr import (
-    Add,
+    ONE,
     Const,
     Expr,
     Fraction,
     Mul,
-    Pow,
     Sym,
     SymbolKind,
     TIME,
     ZERO,
-    _terms,
     normalize,
     symbols_of,
     term_count,
 )
-from .lie import (
-    DEFAULT_TERM_BUDGET,
-    build_generator,
-    lie_coefficients,
-    taylor_coefficients,
-)
+from .lie import DEFAULT_TERM_BUDGET, build_generator, lie_coefficients
 from .parser import ProblemSpec
+from .series import compose, polynomial
 
 MAX_MATRIX_DIM = 16
 EXPM_TOL = 1e-13
@@ -65,67 +59,13 @@ class PicardIterate:
     fields: tuple[Expr, ...]
 
 
-def _require_polynomial_rhs(p: ProblemSpec) -> None:
+def _require_ode(p: ProblemSpec) -> None:
     for fname, rhs in zip(p.field_names, p.rhs):
         for symbol in symbols_of(rhs):
             if symbol.kind == SymbolKind.JET and any(symbol.orders):
                 raise NonPolynomialRhs(
                     f"rhs['{fname}'] contains derivative jets; the Picard "
                     "oracle covers ode and system problems only")
-        for mono, _ in _terms(rhs).items():
-            for atom, exponent in mono:
-                evolving = any(
-                    s.kind in (SymbolKind.TIME, SymbolKind.JET)
-                    for s in symbols_of(atom))
-                if not evolving:
-                    continue
-                if not isinstance(atom, Sym) or exponent < 0:
-                    raise NonPolynomialRhs(
-                        f"rhs['{fname}'] is not polynomial in time and "
-                        f"fields (atom {atom!r})")
-
-
-def _poly_mul(a: list[Expr], b: list[Expr],
-              cap: int | None) -> list[Expr]:
-    size = len(a) + len(b) - 1
-    if cap is not None:
-        size = min(size, cap + 1)
-    buckets: list[list[Expr]] = [[] for _ in range(size)]
-    for i, ai in enumerate(a):
-        if ai == ZERO or i >= size:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= size:
-                break
-            if bj == ZERO:
-                continue
-            buckets[i + j].append(Mul((ai, bj)))
-    return [normalize(Add(tuple(bucket))) if bucket else ZERO
-            for bucket in buckets]
-
-
-def _poly_compose(rhs: Expr, state: dict, cap: int | None) -> list[Expr]:
-    """Coefficients of F(tau, u(tau)) in powers of w = tau - a, where state
-    maps the time symbol and every bare jet to its coefficient list.
-    """
-    total: list[Expr] = [ZERO]
-    for mono, coeff in _terms(rhs).items():
-        term: list[Expr] = [Const(coeff)]
-        for atom, exponent in mono:
-            series = None
-            if isinstance(atom, Sym):
-                series = state.get(atom.symbol)
-            if series is None:
-                constant = normalize(Pow(atom, exponent))
-                term = [normalize(Mul((constant, t))) for t in term]
-                continue
-            for _ in range(exponent):
-                term = _poly_mul(term, series, cap)
-        if len(term) > len(total):
-            total += [ZERO] * (len(term) - len(total))
-        total = [normalize(Add((t, term[n]))) if n < len(term) else t
-                 for n, t in enumerate(total)]
-    return total
 
 
 def picard_iterate(p: ProblemSpec, k: int, max_degree: int | None = None,
@@ -134,13 +74,12 @@ def picard_iterate(p: ProblemSpec, k: int, max_degree: int | None = None,
     polynomial integration.
 
     By default the iterate is untruncated (its degree can reach 2^k scale
-    for quadratic rhs); max_degree drops powers of (t - a) beyond the bound,
-    which cannot change the coefficients at or below it, since degrees only
-    grow under multiplication and integration.
+    for quadratic rhs), so the rhs must be polynomial in time and fields.
+    max_degree drops powers of (t - a) beyond the bound, which cannot
+    change the coefficients at or below it; any rhs is then accepted.
     """
     columns = _picard_columns(p, k, max_degree, term_budget)
-    fields = tuple(_assemble_poly(column, p.initial_time)
-                   for column in columns)
+    fields = tuple(polynomial(column, p.initial_time) for column in columns)
     return PicardIterate(problem=p, k=k, fields=fields)
 
 
@@ -149,27 +88,21 @@ def _picard_columns(p: ProblemSpec, k: int, max_degree: int | None,
     """The coefficients of (t - a)^n of every field of picard_iterate's
     k-th iterate, lowest order first.
     """
-    _require_polynomial_rhs(p)
-    n = p.n_fields
-    # shifted time: rhs as polynomial in w = t - a via t -> w + a
-    shifted_rhs = tuple(
-        taylor_coefficients(rhs, p.initial_time, _time_degree(rhs))
-        for rhs in p.rhs)
-    seeds = [Sym(p.jet_symbol(i)) for i in range(n)]
+    _require_ode(p)
+    seeds = [Sym(p.jet_symbol(i)) for i in range(p.n_fields)]
+    top = None if max_degree is None else max_degree - 1
     columns: list[list[Expr]] = [[seed] for seed in seeds]
     for _ in range(k):
-        state = {p.jet_symbol(i): columns[i] for i in range(n)}
+        # F_i(tau, u(tau)) in powers of w = tau - a, then one integration
+        mapped = {TIME: [p.initial_time, ONE]}
+        mapped.update((seed.symbol, column)
+                      for seed, column in zip(seeds, columns))
         new_columns = []
-        for i in range(n):
-            # F_i(w + a, u) as a polynomial in w, then one integration
-            composed = _poly_compose_shifted(shifted_rhs[i], state, max_degree)
-            integrated = [ZERO] + [
-                normalize(Mul((Const(Fraction(1, m + 1)), cm)))
-                for m, cm in enumerate(composed)
-                if max_degree is None or m + 1 <= max_degree]
-            column = [seeds[i]] + [
-                normalize(Mul((Const(Fraction(-1)), cm)))
-                for cm in integrated[1:]]
+        for seed, rhs in zip(seeds, p.rhs):
+            composed = compose(rhs, mapped, top)
+            column = [seed] + [
+                normalize(Mul((Const(Fraction(-1, m + 1)), cm)))
+                for m, cm in enumerate(composed)]
             for coeff in column:
                 if term_count(coeff) > term_budget:
                     raise ExpressionBlowup(
@@ -177,40 +110,6 @@ def _picard_columns(p: ProblemSpec, k: int, max_degree: int | None,
             new_columns.append(column)
         columns = new_columns
     return columns
-
-
-def _time_degree(rhs: Expr) -> int:
-    degree = 0
-    for mono, _ in _terms(rhs).items():
-        for atom, exponent in mono:
-            if atom == Sym(TIME):
-                degree = max(degree, exponent)
-    return degree
-
-
-def _poly_compose_shifted(rhs_w_coeffs: list[Expr], state: dict,
-                          cap: int | None) -> list[Expr]:
-    """Compose sum_d q_d(jets) w^d with the jet series in state."""
-    total: list[Expr] = [ZERO]
-    for d, q in enumerate(rhs_w_coeffs):
-        if q == ZERO or (cap is not None and d > cap):
-            continue
-        piece = _poly_compose(q, state, None if cap is None else cap - d)
-        shifted = [ZERO] * d + piece
-        if len(shifted) > len(total):
-            total += [ZERO] * (len(shifted) - len(total))
-        total = [normalize(Add((t, shifted[n]))) if n < len(shifted) else t
-                 for n, t in enumerate(total)]
-    return total
-
-
-def _assemble_poly(coeffs: list[Expr], point: Expr) -> Expr:
-    tau = Add((Sym(TIME), Mul((Const(Fraction(-1)), point))))
-    parts = [Mul((c, Pow(tau, n))) if n else c
-             for n, c in enumerate(coeffs) if c != ZERO]
-    if not parts:
-        return ZERO
-    return normalize(Add(tuple(parts)))
 
 
 # ---------------------------------------------------------------------------

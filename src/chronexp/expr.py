@@ -557,35 +557,3 @@ def symbols_of(e: Expr) -> set[Symbol]:
 def jets_of(e: Expr) -> set[Symbol]:
     return {s for s in symbols_of(e) if s.kind == SymbolKind.JET}
 
-
-def coefficients_in(e: Expr, sym: Symbol) -> list[Expr]:
-    """Exact coefficients [p_0, ..., p_d] of ``e`` as a polynomial in ``sym``.
-
-    Raises NonPolynomialRhs if ``sym`` occurs inside a function argument,
-    under a negative power, or in any other non-polynomial position.
-    """
-    from .errors import NonPolynomialRhs
-
-    canonical = normalize(e)
-    target = Sym(sym)
-    per_degree: dict[int, _Terms] = {}
-    for mono, coeff in _terms(canonical).items():
-        degree = 0
-        rest = []
-        for atom, k in mono:
-            if atom == target:
-                degree = k
-            elif sym in symbols_of(atom):
-                raise NonPolynomialRhs(
-                    f"expression is not polynomial in {target}: atom {atom!r}")
-            else:
-                rest.append((atom, k))
-        if degree < 0:
-            raise NonPolynomialRhs(
-                f"expression has negative powers of {target}")
-        bucket = per_degree.setdefault(degree, {})
-        bucket[tuple(rest)] = bucket.get(tuple(rest), Fraction(0)) + coeff
-    if not per_degree:
-        return [ZERO]
-    top = max(per_degree)
-    return [_build(per_degree.get(n, {})) for n in range(top + 1)]

@@ -21,22 +21,20 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .errors import ExpressionBlowup, NonPolynomialRhs
+from .errors import ExpressionBlowup
 from .expr import (
     AUX,
+    ONE,
     Add,
     Const,
     Expr,
     Fraction,
     Mul,
-    Pow,
     Sym,
     Symbol,
     SymbolKind,
     TIME,
     ZERO,
-    _terms,
-    coefficients_in,
     diff,
     eval_num,
     jet,
@@ -44,11 +42,11 @@ from .expr import (
     normalize,
     space_var,
     subst,
-    subst_many,
     symbols_of,
     term_count,
 )
 from .parser import ProblemSpec
+from .series import compose, polynomial
 
 DEFAULT_TERM_BUDGET = 10 ** 6
 
@@ -237,33 +235,14 @@ def initial_jet_bindings(sol: SeriesSolution, initial_exprs: list[Expr],
 
 def taylor_coefficients(e: Expr, point: Expr, order: int) -> list[Expr]:
     """Exact coefficients of (t - point)^n, n = 0..order, for an expression
-    in the time symbol.  Polynomials are read off directly; otherwise the
-    coefficients come from repeated differentiation.
+    in the time symbol.
     """
-    shifted = subst(e, TIME, Add((Sym(TIME), point)))
-    try:
-        coeffs = coefficients_in(shifted, TIME)
-        coeffs = coeffs[:order + 1]
-    except NonPolynomialRhs:
-        coeffs = []
-        current = shifted
-        for n in range(order + 1):
-            at_zero = subst(current, TIME, ZERO)
-            coeffs.append(normalize(
-                Mul((Const(Fraction(1, math.factorial(n))), at_zero))))
-            if n < order:
-                current = diff(current, TIME)
-    while len(coeffs) < order + 1:
-        coeffs.append(ZERO)
-    return coeffs
+    return compose(normalize(e), {TIME: [point, ONE]}, order)
 
 
 def assemble_series(sol: SeriesSolution, index: int) -> Expr:
     """The truncated series of field ``index`` as an expression in t."""
-    tau = Add((Sym(TIME), Mul((Const(Fraction(-1)), sol.expansion_point))))
-    parts = [Mul((coeff, Pow(tau, n))) if n else coeff
-             for n, coeff in enumerate(sol.coeffs[index])]
-    return normalize(Add(tuple(parts)))
+    return polynomial(sol.coeffs[index], sol.expansion_point)
 
 
 @dataclass(frozen=True)
@@ -299,20 +278,22 @@ def residual_check(sol: SeriesSolution,
             or len(rhs_source.space_names) != len(problem.space_names)):
         raise ValueError("problem shapes differ, residual is not comparable")
 
-    assembled = [assemble_series(sol, i) for i in range(problem.n_fields)]
-    series_jet = jet_derivatives(assembled)
-
+    # D_x^alpha acts coefficient by coefficient: one jet table per order.
+    jets_at = [jet_derivatives([column[n] for column in sol.coeffs])
+               for n in range(sol.order)]
     failing_order = None
     failing_field = None
     for i in range(problem.n_fields):
         rhs = rhs_source.rhs[i]
-        replacement = {jsym: series_jet(jsym) for jsym in jets_of(rhs)}
-        residual = normalize(
-            Add((diff(assembled[i], TIME), subst_many(rhs, replacement))))
-        coeffs = taylor_coefficients(residual, sol.expansion_point,
-                                     sol.order - 1)
-        for n, coeff in enumerate(coeffs):
-            if coeff != ZERO:
+        mapped = {TIME: [sol.expansion_point, ONE]}
+        for jsym in jets_of(rhs):
+            mapped[jsym] = [derive(jsym) for derive in jets_at]
+        forcing = compose(rhs, mapped, sol.order - 1)
+        column = sol.coeffs[i]
+        for n, f_n in enumerate(forcing):
+            # coefficient n of du/dt + F(u): (n+1) U_{n+1} + [F(U)]_n
+            if normalize(Add((Mul((Const(Fraction(n + 1)), column[n + 1])),
+                              f_n))) != ZERO:
                 if failing_order is None or n + 1 < failing_order:
                     failing_order = n + 1
                     failing_field = problem.field_names[i]
@@ -329,41 +310,6 @@ def residual_check(sol: SeriesSolution,
 # ---------------------------------------------------------------------------
 # Homomorphism check: series of G(c) versus G applied to the series
 # ---------------------------------------------------------------------------
-
-def _series_mul(a: list[Expr], b: list[Expr], order: int) -> list[Expr]:
-    out = []
-    for n in range(order + 1):
-        parts = [Mul((a[i], b[n - i]))
-                 for i in range(n + 1) if i < len(a) and n - i < len(b)]
-        out.append(normalize(Add(tuple(parts))) if parts else ZERO)
-    return out
-
-
-def compose_with_series(G: Expr, jet_series: dict[Symbol, list[Expr]],
-                        order: int) -> list[Expr]:
-    """Substitute truncated series for the jets of a polynomial G and expand,
-    keeping coefficients through the given order.
-    """
-    total = [ZERO] * (order + 1)
-    for mono, coeff in _terms(normalize(G)).items():
-        term = [Const(coeff)] + [ZERO] * order
-        for atom, k in mono:
-            if isinstance(atom, Sym) and atom.symbol.kind == SymbolKind.JET:
-                if k < 0:
-                    raise NonPolynomialRhs(
-                        "negative jet power is not polynomial")
-                series = jet_series[atom.symbol]
-                for _ in range(k):
-                    term = _series_mul(term, series, order)
-            elif jets_of(atom):
-                raise NonPolynomialRhs(
-                    f"atom {atom!r} hides jets inside a non-polynomial node")
-            else:
-                constant = normalize(Pow(atom, k))
-                term = [normalize(Mul((constant, t))) for t in term]
-        total = [normalize(Add((t, extra))) for t, extra in zip(total, term)]
-    return total
-
 
 @dataclass(frozen=True)
 class HomomorphismReport:
@@ -388,12 +334,13 @@ def check_homomorphism(g: Generator, G: Expr, order: int,
     """Compare apply_series_to_function(g, G) with the composition of G and
     the per-jet series, order by order, as exact trees.
     """
+    G = normalize(G)
     lhs = apply_series_to_function(g, G, order, term_budget)
     jet_series = {
         jsym: apply_series_to_function(g, Sym(jsym), order, term_budget)
-        for jsym in jets_of(normalize(G))
+        for jsym in jets_of(G)
     }
-    rhs = compose_with_series(G, jet_series, order)
+    rhs = compose(G, jet_series, order)
     equal = tuple(l == r for l, r in zip(lhs, rhs))
     failing = next((n for n, ok in enumerate(equal) if not ok), None)
     return HomomorphismReport(

@@ -273,6 +273,23 @@ class TestVerify:
         assert out == ""
         assert "order must be non-negative" in err
 
+    @pytest.mark.parametrize("target", [
+        ["corrupt/riccati.json"], ["--suite", "catalog"], ["--suite", "all"]])
+    def test_rejects_order_zero(self, capsys, target):
+        # An order-0 series has no residual coefficient to check.
+        if not target[0].startswith("--"):
+            target = [str(FIXTURES / target[0])]
+        code, out, err = run(capsys, "verify", *target, "--order", "0")
+        assert code == 1
+        assert out == ""
+        assert "order 1 or more" in err
+
+    def test_pendulum_picard_at_order_eight(self, capsys):
+        code, out, _ = run(capsys, "verify", fx("pendulum"), "--order", "8")
+        assert code == 0
+        assert ("PASS chronological equivalence: chronological and "
+                "exponential series agree exactly through order 8") in out
+
     def test_path_and_suite_conflict(self, capsys):
         code, _, err = run(capsys, "verify", fx("riccati"),
                            "--suite", "dyson")

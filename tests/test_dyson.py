@@ -126,6 +126,25 @@ class TestChronEquiv:
         for column in report.orders_equal:
             assert column == (True,) * 7
 
+    @pytest.mark.parametrize("rhs,initial", [
+        ("1/u", "0"),
+        ("exp(t*u) + sqrt(u) - ln(u)", "a"),
+    ])
+    def test_non_polynomial_rhs(self, rhs, initial):
+        # The truncated Picard route expands these through the series
+        # recurrences; untruncated picard_iterate still rejects them.
+        doc = {"kind": "ode", "time": {"name": "t", "initial": initial},
+               "fields": ["u"], "rhs": {"u": rhs}, "order": 5}
+        report = chron_equiv_check(parse_problem(json.dumps(doc)), 5)
+        assert report.passed, report.__dict__
+        assert report.orders_equal == ((True,) * 6,)
+
+    def test_pendulum(self):
+        # sin(u): the sin/cos pair expands one coefficient at a time.
+        report = chron_equiv_check(load_fixture("pendulum"), 5)
+        assert report.passed, report.__dict__
+        assert report.orders_equal == ((True,) * 6,)
+
     def test_rejects_pde(self, heat):
         with pytest.raises(NonPolynomialRhs):
             chron_equiv_check(heat, 4)

@@ -22,7 +22,6 @@ from chronexp import (
     UnboundSymbol,
     UnsupportedFunction,
     ZERO,
-    coefficients_in,
     const,
     diff,
     eval_num,
@@ -33,6 +32,8 @@ from chronexp import (
     subst_many,
     term_count,
 )
+
+from chronexp.series import compose
 
 from conftest import eval_or_none, random_bindings, random_expr
 
@@ -317,6 +318,13 @@ class TestEvalNum:
 # ---------------------------------------------------------------------------
 # Polynomial coefficient extraction
 # ---------------------------------------------------------------------------
+
+def coefficients_in(e, sym):
+    """Exact coefficients of e as a polynomial in sym: the untruncated
+    series of e with sym -> 0 + 1*w.
+    """
+    return compose(N(e), {sym: [ZERO, ONE]}, None)
+
 
 class TestCoefficientsIn:
     def test_quadratic(self):

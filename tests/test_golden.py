@@ -26,8 +26,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 SOLVE_ORDERS = range(1, 9)
 VERIFY_ORDERS = range(1, 7)
-# High-order verify of these is slow (sin(u) has no polynomial fast path,
-# KdV reaches third-order jets), so they stop early.
+# These stop early, as they did when the corpus was recorded: high-order
+# verify of them was slow then (sin(u) had no series recurrence, and KdV
+# reaches third-order jets).
 VERIFY_ORDERS_BY_FIXTURE = {"pendulum": range(1, 5), "kdv": range(1, 4)}
 EVAL_TIMES = "--t=-0.1,0,0.1,0.2"
 EVAL_POINTS = "--x=-1,0,0.5"

@@ -21,7 +21,6 @@ from chronexp import (
     assemble_series,
     build_generator,
     check_homomorphism,
-    coefficients_in,
     const,
     eval_num,
     eval_series,
