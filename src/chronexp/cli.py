@@ -309,11 +309,11 @@ def _report(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": passed, "detail": detail}
 
 
-def _verify_catalog(order: int) -> list[dict]:
+def _verify_catalog(solved: list[tuple[CatalogEntry, SeriesSolution]]
+                    ) -> list[dict]:
     reports = []
-    tol = 100.0 * 0.1 ** (order + 1)
-    for entry in catalog():
-        sol = lie_coefficients(build_generator(entry.problem), order)
+    for entry, sol in solved:
+        tol = 100.0 * 0.1 ** (sol.order + 1)
         res = residual_check(sol)
         reports.append(_report(
             f"defining equation [{entry.name}]", res.passed, res.summary()))
@@ -367,12 +367,12 @@ def _homomorphism_cases(entry: CatalogEntry) -> list[tuple[str, Expr]]:
             (f"{alias}^3", normalize(Mul((G, Sym(p.jet_symbol(0))))))]
 
 
-def _verify_homomorphism(order: int) -> list[dict]:
+def _verify_homomorphism(solved: list[tuple[CatalogEntry, SeriesSolution]],
+                         order: int, term_budget: int) -> list[dict]:
     reports = []
-    for entry in catalog():
-        g = build_generator(entry.problem)
+    for entry, sol in solved:
         for label, G in _homomorphism_cases(entry):
-            rep = check_homomorphism(g, G, order)
+            rep = check_homomorphism(sol, G, order, term_budget)
             reports.append(_report(
                 f"homomorphism [{entry.name}, G={label}]", rep.passed,
                 rep.summary()))
@@ -416,12 +416,12 @@ def _verify_file(args) -> list[dict]:
                 "problem shape differs from the catalog entry"))
 
     if problem.kind in ("ode", "system"):
-        equiv = chron_equiv_check(problem, order)
+        equiv = chron_equiv_check(sol)
         reports.append(_report("chronological equivalence", equiv.passed,
                                equiv.summary()))
 
-    hom = check_homomorphism(build_generator(problem),
-                             _product_test_function(problem), min(order, 5))
+    hom = check_homomorphism(sol, _product_test_function(problem),
+                             min(order, 5), args.term_budget)
     reports.append(_report("homomorphism", hom.passed, hom.summary()))
     return reports
 
@@ -434,13 +434,21 @@ def cmd_verify(args) -> int:
     else:
         suite = args.suite or "all"
         order = _verify_order(args, 6)
+        # One solve per catalog entry serves both series suites; the
+        # homomorphism suite alone needs only its own lower order.
+        solve_order = order if suite in ("catalog", "all") else min(order, 5)
+        solved = [] if suite == "dyson" else [
+            (entry, lie_coefficients(build_generator(entry.problem),
+                                     solve_order, args.term_budget))
+            for entry in catalog()]
         reports = []
         if suite in ("catalog", "all"):
-            reports += _verify_catalog(order)
+            reports += _verify_catalog(solved)
         if suite in ("dyson", "all"):
             reports += _verify_dyson(args.seed)
         if suite in ("homomorphism", "all"):
-            reports += _verify_homomorphism(min(order, 5))
+            reports += _verify_homomorphism(solved, min(order, 5),
+                                            args.term_budget)
 
     failed = [r for r in reports if not r["passed"]]
     if args.format == "text":

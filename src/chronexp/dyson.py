@@ -36,7 +36,7 @@ from .expr import (
     symbols_of,
     term_count,
 )
-from .lie import DEFAULT_TERM_BUDGET, build_generator, lie_coefficients
+from .lie import DEFAULT_TERM_BUDGET, SeriesSolution
 from .parser import ProblemSpec
 from .series import compose, polynomial
 
@@ -137,18 +137,19 @@ class EquivalenceReport:
                 f"at order {self.failing_order}")
 
 
-def chron_equiv_check(p: ProblemSpec, order: int) -> EquivalenceReport:
-    """Compare the coefficients of picard_iterate(p, order) and
-    lie_coefficients term by term.
+def chron_equiv_check(sol: SeriesSolution) -> EquivalenceReport:
+    """Compare the coefficients of picard_iterate(sol.problem, sol.order)
+    with the solved Lie series term by term.
     """
+    p = sol.problem
+    order = sol.order
     picard = _picard_columns(p, order, order, DEFAULT_TERM_BUDGET)
-    series = lie_coefficients(build_generator(p), order)
     rows = []
     failing_field = None
     failing_order = None
     for i in range(p.n_fields):
         picard_coeffs = picard[i] + [ZERO] * (order + 1 - len(picard[i]))
-        row = tuple(picard_coeffs[n] == series.coeffs[i][n]
+        row = tuple(picard_coeffs[n] == sol.coeffs[i][n]
                     for n in range(order + 1))
         rows.append(row)
         for n, ok in enumerate(row):

@@ -76,41 +76,11 @@ def free_param(name: str) -> Symbol:
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Base class.  Nodes are immutable; operators build raw (unnormalized)
-    trees, so ``(a + b) * c`` is cheap and ``normalize`` is explicit.
+    """Base class.  Nodes are immutable; constructors build raw
+    (unnormalized) trees and ``normalize`` is explicit.
     """
 
     __slots__ = ()
-
-    def __add__(self, other) -> "Expr":
-        return Add((self, _coerce(other)))
-
-    def __radd__(self, other) -> "Expr":
-        return Add((_coerce(other), self))
-
-    def __sub__(self, other) -> "Expr":
-        return Add((self, Mul((MINUS_ONE, _coerce(other)))))
-
-    def __rsub__(self, other) -> "Expr":
-        return Add((_coerce(other), Mul((MINUS_ONE, self))))
-
-    def __mul__(self, other) -> "Expr":
-        return Mul((self, _coerce(other)))
-
-    def __rmul__(self, other) -> "Expr":
-        return Mul((_coerce(other), self))
-
-    def __truediv__(self, other) -> "Expr":
-        return Mul((self, Pow(_coerce(other), -1)))
-
-    def __rtruediv__(self, other) -> "Expr":
-        return Mul((_coerce(other), Pow(self, -1)))
-
-    def __pow__(self, exponent: int) -> "Expr":
-        return Pow(self, int(exponent))
-
-    def __neg__(self) -> "Expr":
-        return Mul((MINUS_ONE, self))
 
     def __str__(self) -> str:
         from .render import format_expr

@@ -245,6 +245,18 @@ def assemble_series(sol: SeriesSolution, index: int) -> Expr:
     return polynomial(sol.coeffs[index], sol.expansion_point)
 
 
+def _jet_series(sol: SeriesSolution,
+                count: int) -> Callable[[Symbol], list[Expr]]:
+    """The first ``count`` series coefficients of every jet of the solution.
+
+    D_x^alpha acts on the series coefficient by coefficient, so coefficient
+    n of jet (k, alpha) is D_x^alpha C_{k,n}: one memoized table per order.
+    """
+    tables = [jet_derivatives([column[n] for column in sol.coeffs])
+              for n in range(count)]
+    return lambda jsym: [derive(jsym) for derive in tables]
+
+
 @dataclass(frozen=True)
 class ResidualReport:
     """Per-order exactness of du/dt + F = 0 for a truncated series."""
@@ -278,16 +290,14 @@ def residual_check(sol: SeriesSolution,
             or len(rhs_source.space_names) != len(problem.space_names)):
         raise ValueError("problem shapes differ, residual is not comparable")
 
-    # D_x^alpha acts coefficient by coefficient: one jet table per order.
-    jets_at = [jet_derivatives([column[n] for column in sol.coeffs])
-               for n in range(sol.order)]
+    jet_series = _jet_series(sol, sol.order)
     failing_order = None
     failing_field = None
     for i in range(problem.n_fields):
         rhs = rhs_source.rhs[i]
         mapped = {TIME: [sol.expansion_point, ONE]}
         for jsym in jets_of(rhs):
-            mapped[jsym] = [derive(jsym) for derive in jets_at]
+            mapped[jsym] = jet_series(jsym)
         forcing = compose(rhs, mapped, sol.order - 1)
         column = sol.coeffs[i]
         for n, f_n in enumerate(forcing):
@@ -314,8 +324,8 @@ def residual_check(sol: SeriesSolution,
 @dataclass(frozen=True)
 class HomomorphismReport:
     """Exact per-order comparison of the series of G(jets) against G
-    composed with the per-jet series (the conjugation property of the
-    evolution operator on multiplication operators).
+    composed with the solution's per-jet series (the conjugation property
+    of the evolution operator on multiplication operators).
     """
 
     order: int
@@ -329,18 +339,18 @@ class HomomorphismReport:
         return f"homomorphism broken at order {self.failing_order}"
 
 
-def check_homomorphism(g: Generator, G: Expr, order: int,
+def check_homomorphism(sol: SeriesSolution, G: Expr, order: int,
                        term_budget: int = DEFAULT_TERM_BUDGET) -> HomomorphismReport:
-    """Compare apply_series_to_function(g, G) with the composition of G and
-    the per-jet series, order by order, as exact trees.
+    """Compare the Lie series seeded with G against G composed with the
+    solved per-jet series, order by order, as exact trees.
     """
+    if order > sol.order:
+        raise ValueError(f"order {order} exceeds the series order {sol.order}")
     G = normalize(G)
-    lhs = apply_series_to_function(g, G, order, term_budget)
-    jet_series = {
-        jsym: apply_series_to_function(g, Sym(jsym), order, term_budget)
-        for jsym in jets_of(G)
-    }
-    rhs = compose(G, jet_series, order)
+    lhs = apply_series_to_function(build_generator(sol.problem), G, order,
+                                   term_budget)
+    jet_series = _jet_series(sol, order + 1)
+    rhs = compose(G, {jsym: jet_series(jsym) for jsym in jets_of(G)}, order)
     equal = tuple(l == r for l, r in zip(lhs, rhs))
     failing = next((n for n, ok in enumerate(equal) if not ok), None)
     return HomomorphismReport(

@@ -290,28 +290,24 @@ def compare_series_to_reference(sol: SeriesSolution, entry: CatalogEntry,
         raise ValueError("series was built for a different problem")
     a_value = (0.0 if p.initial_name is not None
                else eval_num(p.initial_time, {}))
-    points = list(points) if points else [0.0]
+    # (bindings, point) per sample point, shared by every offset
+    if p.kind == "pde":
+        samples = [(initial_jet_bindings(sol, list(entry.initial_exprs), [x]),
+                    x) for x in (points or [0.0])]
+    else:
+        samples = [({p.jet_symbol(k): v
+                     for k, v in enumerate(entry.initial_values)}, None)]
+    for bind, _ in samples:
+        if p.initial_name is not None:
+            bind[INITIAL_TIME] = a_value
 
     max_errors = []
     for dt in t_offsets:
         t = a_value + dt
         worst = 0.0
-        if p.kind == "pde":
-            for x in points:
-                bind = initial_jet_bindings(sol, list(entry.initial_exprs), [x])
-                if p.initial_name is not None:
-                    bind[INITIAL_TIME] = a_value
-                series_vals = eval_series(sol, t, bind)
-                reference = _pde_reference(entry, t, a_value, x)
-                worst = max(worst, *(abs(s - r)
-                                     for s, r in zip(series_vals, reference)))
-        else:
-            bind = {p.jet_symbol(k): v
-                    for k, v in enumerate(entry.initial_values)}
-            if p.initial_name is not None:
-                bind[INITIAL_TIME] = a_value
+        for bind, x in samples:
             series_vals = eval_series(sol, t, bind)
-            reference = _ode_reference(entry, t, a_value)
+            reference = _reference(entry, t, a_value, x)
             worst = max(worst, *(abs(s - r)
                                  for s, r in zip(series_vals, reference)))
         max_errors.append(worst)
@@ -323,27 +319,20 @@ def compare_series_to_reference(sol: SeriesSolution, entry: CatalogEntry,
     )
 
 
-def _ode_reference(entry: CatalogEntry, t: float,
-                   a_value: float) -> list[float]:
+def _reference(entry: CatalogEntry, t: float, a_value: float,
+               x: float | None) -> list[float]:
+    """The entry's reference values at t, at the point x for a pde."""
     if entry.exact_kind == "closed_form":
-        bind = entry.exact_bindings(t, a_value, [])
+        bind = entry.exact_bindings(t, a_value, [] if x is None else [x])
         return [eval_num(e, bind) for e in entry.exact]
     if entry.exact_kind == "rk4":
         if t == a_value:
             return list(entry.initial_values)
         return rk4_solve(entry.problem, list(entry.initial_values), t,
                          RK4_REFERENCE_STEPS, initial_time_value=a_value)
-    raise ValueError(f"no ode reference for kind '{entry.exact_kind}'")
-
-
-def _pde_reference(entry: CatalogEntry, t: float, a_value: float,
-                   x: float) -> list[float]:
-    if entry.exact_kind == "closed_form":
-        bind = entry.exact_bindings(t, a_value, [x])
-        return [eval_num(e, bind) for e in entry.exact]
     if entry.exact_kind == "characteristics":
         return [characteristic_value(entry.initial_exprs[0], x, t - a_value)]
-    raise ValueError(f"no pde reference for kind '{entry.exact_kind}'")
+    raise ValueError(f"no reference for kind '{entry.exact_kind}'")
 
 
 def convergence_slope(offsets: list[float], errors: list[float]) -> float:

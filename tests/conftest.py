@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +13,10 @@ from chronexp import (
     Mul,
     Pow,
     Sym,
+    build_generator,
     eval_num,
+    lie_coefficients,
+    normalize,
     parse_problem,
 )
 
@@ -31,6 +35,17 @@ def riccati():
 @pytest.fixture
 def heat():
     return load_fixture("heat")
+
+
+@pytest.fixture
+def broken_riccati():
+    """The riccati series at order 5 with 1 added to its order-3
+    coefficient, the shape of a wrong solve.
+    """
+    sol = lie_coefficients(build_generator(load_fixture("riccati")), 5)
+    column = list(sol.coeffs[0])
+    column[3] = normalize(Add((column[3], Const(Fraction(1)))))
+    return dataclasses.replace(sol, coeffs=(tuple(column),))
 
 
 def random_expr(rng: random.Random, symbols, depth: int = 3) -> Expr:

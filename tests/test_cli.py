@@ -290,6 +290,27 @@ class TestVerify:
         assert ("PASS chronological equivalence: chronological and "
                 "exponential series agree exactly through order 8") in out
 
+    def test_term_budget_reaches_homomorphism(self, capsys):
+        # The KdV solve stays within 31 terms at order 4; the series of the
+        # homomorphism's c*c_x reaches 59.
+        code, out, err = run(capsys, "verify", fx("kdv"), "--order", "4",
+                             "--term-budget", "40")
+        assert code == 2
+        assert out == ""
+        assert "resource limit" in err
+
+    def test_term_budget_at_homomorphism_peak(self, capsys):
+        code, out, _ = run(capsys, "verify", fx("kdv"), "--order", "4",
+                           "--term-budget", "59")
+        assert code == 0
+        assert out.endswith("2/2 checks passed\n")
+
+    def test_term_budget_reaches_suite_solves(self, capsys):
+        code, _, err = run(capsys, "verify", "--suite", "homomorphism",
+                           "--term-budget", "3")
+        assert code == 2
+        assert "resource limit" in err
+
     def test_path_and_suite_conflict(self, capsys):
         code, _, err = run(capsys, "verify", fx("riccati"),
                            "--suite", "dyson")

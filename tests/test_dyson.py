@@ -38,6 +38,10 @@ def expect(problem, text):
     return normalize(parse_expression(text, problem.context()))
 
 
+def solve(problem, order):
+    return lie_coefficients(build_generator(problem), order)
+
+
 # ---------------------------------------------------------------------------
 # Picard iteration
 # ---------------------------------------------------------------------------
@@ -120,7 +124,7 @@ class TestChronEquiv:
     @pytest.mark.parametrize("name", POLYNOMIAL_FIXTURES)
     def test_polynomial_catalog(self, name):
         p = load_fixture(name)
-        report = chron_equiv_check(p, 6)
+        report = chron_equiv_check(solve(p, 6))
         assert report.passed, report.__dict__
         assert report.failing_field is None
         for column in report.orders_equal:
@@ -135,26 +139,35 @@ class TestChronEquiv:
         # recurrences; untruncated picard_iterate still rejects them.
         doc = {"kind": "ode", "time": {"name": "t", "initial": initial},
                "fields": ["u"], "rhs": {"u": rhs}, "order": 5}
-        report = chron_equiv_check(parse_problem(json.dumps(doc)), 5)
+        report = chron_equiv_check(solve(parse_problem(json.dumps(doc)), 5))
         assert report.passed, report.__dict__
         assert report.orders_equal == ((True,) * 6,)
 
     def test_pendulum(self):
         # sin(u): the sin/cos pair expands one coefficient at a time.
-        report = chron_equiv_check(load_fixture("pendulum"), 5)
+        report = chron_equiv_check(solve(load_fixture("pendulum"), 5))
         assert report.passed, report.__dict__
         assert report.orders_equal == ((True,) * 6,)
 
     def test_rejects_pde(self, heat):
         with pytest.raises(NonPolynomialRhs):
-            chron_equiv_check(heat, 4)
+            chron_equiv_check(solve(heat, 4))
 
     def test_detects_tampered_series(self, riccati):
         # Flip the rhs sign: both constructions track the flipped
         # problem, so they still agree with each other.
         doc = json.loads(open("tests/fixtures/corrupt/riccati.json").read())
         flipped = parse_problem(json.dumps(doc))
-        assert chron_equiv_check(flipped, 4).passed
+        assert chron_equiv_check(solve(flipped, 4)).passed
+
+    def test_reports_first_wrong_coefficient(self, broken_riccati):
+        report = chron_equiv_check(broken_riccati)
+        assert not report.passed
+        assert report.failing_order == 3
+        assert report.failing_field == "u"
+        # Picard never reads the series, so only order 3 differs.
+        assert report.orders_equal == ((True,) * 3 + (False,) + (True,) * 2,)
+        assert report.summary() == "series disagree for field u at order 3"
 
 
 # ---------------------------------------------------------------------------

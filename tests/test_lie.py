@@ -342,14 +342,29 @@ class TestFunctionSeries:
     def test_homomorphism(self, name, g_text):
         p = load_fixture(name)
         G = normalize(parse_expression(g_text, p))
-        report = check_homomorphism(build_generator(p), G, 5)
+        report = check_homomorphism(
+            lie_coefficients(build_generator(p), 5), G, 5)
         assert report.passed, report.__dict__
         assert report.orders_equal == (True,) * 6
 
     def test_pde_homomorphism_small_order(self, heat):
         G = normalize(parse_expression("c*c_x", heat))
-        report = check_homomorphism(build_generator(heat), G, 3)
+        report = check_homomorphism(
+            lie_coefficients(build_generator(heat), 3), G, 3)
         assert report.passed
+
+    def test_homomorphism_reads_the_given_series(self, broken_riccati):
+        G = normalize(parse_expression("c^2", broken_riccati.problem))
+        report = check_homomorphism(broken_riccati, G, 5)
+        assert not report.passed
+        assert report.failing_order == 3
+        assert report.summary() == "homomorphism broken at order 3"
+
+    def test_homomorphism_order_above_series(self, riccati):
+        G = normalize(parse_expression("c^2", riccati))
+        with pytest.raises(ValueError):
+            check_homomorphism(lie_coefficients(build_generator(riccati), 3),
+                               G, 4)
 
 
 # ---------------------------------------------------------------------------
