@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -178,9 +179,13 @@ def _effective_order(args, default: int) -> int:
 
 def _float_list(text: str, what: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",")
+                  if part.strip() != ""]
     except ValueError:
         raise InputError(f"bad {what} value in '{text}'") from None
+    if not all(math.isfinite(v) for v in values):
+        raise InputError(f"{what} values must be finite, got '{text}'")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +228,12 @@ def _parse_bindings(text: str, problem: ProblemSpec) -> dict:
         if symbol is None:
             raise InputError(f"unknown symbol '{name.strip()}' in --ic")
         try:
-            bind[symbol] = float(value)
+            number = float(value)
         except ValueError:
             raise InputError(f"bad numeric value in '{part}'") from None
+        if not math.isfinite(number):
+            raise InputError(f"value in '{part}' is not finite")
+        bind[symbol] = number
     return bind
 
 
@@ -262,12 +270,16 @@ def cmd_eval(args) -> int:
         if args.x is None:
             raise InputError("pde evaluation needs --x sample points")
         x_values = _float_list(args.x, "--x")
+        if not x_values:
+            raise InputError("--x needs at least one value")
         initial_exprs = _parse_initial_exprs(args.ic, problem)
-        binds = [initial_jet_bindings(sol, initial_exprs, [x])
-                 for x in x_values]
-        for t in t_values:
-            for x, bind in zip(x_values, binds):
-                rows.append((t, x, eval_series(sol, t, bind)))
+        binds = initial_jet_bindings(sol, initial_exprs,
+                                     [[x] for x in x_values])
+        # one row per time for each x; printed t outer, x inner
+        by_x = [eval_series(sol, t_values, bind) for bind in binds]
+        for i, t in enumerate(t_values):
+            for x, values in zip(x_values, by_x):
+                rows.append((t, x, values[i]))
     else:
         if args.x is not None:
             raise InputError("--x applies to pde problems only")
@@ -279,8 +291,7 @@ def cmd_eval(args) -> int:
                 raise InputError(
                     f"missing initial value for field "
                     f"'{problem.field_names[k]}'")
-        for t in t_values:
-            values = eval_series(sol, t, bind)
+        for t, values in zip(t_values, eval_series(sol, t_values, bind)):
             rows.append((t, None, values))
 
     if args.format == "text":

@@ -17,9 +17,7 @@ factors the product telescopes exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ExpressionBlowup, NonPolynomialRhs
 from .expr import (
@@ -39,6 +37,9 @@ from .expr import (
 from .lie import DEFAULT_TERM_BUDGET, SeriesSolution
 from .parser import ProblemSpec
 from .series import compose, polynomial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_MATRIX_DIM = 16
 EXPM_TOL = 1e-13
@@ -168,6 +169,9 @@ def chron_equiv_check(sol: SeriesSolution) -> EquivalenceReport:
 
 # ---------------------------------------------------------------------------
 # Matrix product integrals
+#
+# Each function imports numpy itself, so that importing the package and the
+# series commands (solve, eval, verify of a problem file) never load it.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -196,6 +200,8 @@ class MatrixPath:
         return (self.end - self.start) / self.steps
 
     def midpoints(self) -> np.ndarray:
+        import numpy as np
+
         # Zero-length path: empty grid, the ordered product is empty and
         # both exponentials are the identity.
         if self.end == self.start:
@@ -206,6 +212,8 @@ class MatrixPath:
 
 def _expm(m: np.ndarray, tol: float = EXPM_TOL) -> np.ndarray:
     """Scaling-and-squaring truncated-series matrix exponential."""
+    import numpy as np
+
     norm = np.linalg.norm(m, np.inf)
     squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
     scaled = m / (2 ** squarings)
@@ -225,6 +233,8 @@ def matrix_texp(path: MatrixPath) -> np.ndarray:
     """Midpoint product integral for E with later time factors left:
     E = exp(h L_K) ... exp(h L_1), L_k = L at the k-th midpoint.
     """
+    import numpy as np
+
     h = path.h
     out = np.eye(path.dimension)
     for tau in path.midpoints():
@@ -236,6 +246,8 @@ def matrix_texp_inverse(path: MatrixPath) -> np.ndarray:
     """The opposed ordering with negated generator, earlier factors left:
     E_inv = exp(-h L_1) ... exp(-h L_K).
     """
+    import numpy as np
+
     h = path.h
     out = np.eye(path.dimension)
     for tau in path.midpoints():
@@ -262,6 +274,8 @@ def check_inverse_identity(path: MatrixPath,
     """Infinity norm of E_inv * E - I; telescopes to near machine precision
     for midpoint-matched factors regardless of h.
     """
+    import numpy as np
+
     product = matrix_texp_inverse(path) @ matrix_texp(path)
     norm = float(np.linalg.norm(product - np.eye(path.dimension), np.inf))
     return InverseIdentityReport(
@@ -289,6 +303,8 @@ def texp_self_convergence(sampler: Callable[[float], np.ndarray],
     """Error of E at step h against E at step h/2, log-log slope over the
     given step sizes (midpoint rule: slope near 2).
     """
+    import numpy as np
+
     used = []
     errors = []
     for h in step_sizes:
@@ -309,6 +325,7 @@ def texp_self_convergence(sampler: Callable[[float], np.ndarray],
 def airy_path(start: float = 0.0, end: float = 1.0,
               h: float = 1e-2) -> MatrixPath:
     """Oscillator with linearly growing stiffness: L = [[0, 1], [-tau, 0]]."""
+    import numpy as np
 
     def sampler(tau: float) -> np.ndarray:
         return np.array([[0.0, 1.0], [-tau, 0.0]])
@@ -319,6 +336,8 @@ def airy_path(start: float = 0.0, end: float = 1.0,
 def random_path(seed: int = 0, dimension: int = 4, start: float = 0.0,
                 end: float = 1.0, h: float = 1e-2) -> MatrixPath:
     """Smooth random path: fixed trigonometric mix drawn from the seed."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     base, sin_amp, cos_amp = rng.uniform(-1.0, 1.0, (3, dimension, dimension))
 

@@ -186,37 +186,42 @@ def lie_coefficients(g: Generator, order: int,
     )
 
 
-def eval_series(sol: SeriesSolution, t_value: float,
-                initial_data: dict[Symbol, float]) -> list[float]:
-    """Horner evaluation of every field's series at time t_value.
+def eval_series(sol: SeriesSolution, t_values: Sequence[float],
+                initial_data: dict[Symbol, float]) -> list[list[float]]:
+    """Every field's series at each time in t_values, one row per time.
 
     initial_data must bind every jet symbol occurring in the coefficients
     (plus space variables, parameters, and the symbolic initial time when
-    those occur).
+    those occur).  The coefficients depend on the initial data alone, so
+    each is evaluated once; Horner's rule then runs per time, highest
+    order first.
     """
     a_value = eval_num(sol.expansion_point, initial_data)
-    dt = t_value - a_value
-    out = []
-    for column in sol.coeffs:
-        acc = 0.0
-        for coeff in reversed(column):
-            acc = acc * dt + eval_num(coeff, initial_data)
-        out.append(acc)
-    return out
+    columns = [[eval_num(coeff, initial_data) for coeff in reversed(column)]
+               for column in sol.coeffs]
+    rows = []
+    for t_value in t_values:
+        dt = t_value - a_value
+        row = []
+        for values in columns:
+            acc = 0.0
+            for value in values:
+                acc = acc * dt + value
+            row.append(acc)
+        rows.append(row)
+    return rows
 
 
 def initial_jet_bindings(sol: SeriesSolution, initial_exprs: list[Expr],
-                         space_values: list[float]) -> dict[Symbol, float]:
-    """Bindings for eval_series from closed-form initial data.
+                         points: Sequence[Sequence[float]]
+                         ) -> list[dict[Symbol, float]]:
+    """Bindings for eval_series from closed-form initial data, one per point.
 
     initial_exprs[k] is the initial function of field k in the space
     variables; every jet needed by the coefficients is derived symbolically
-    and evaluated at space_values.
+    once and evaluated at each point's space values.
     """
     problem = sol.problem
-    bind: dict[Symbol, float] = {}
-    for j, value in enumerate(space_values):
-        bind[space_var(j)] = value
     needed: set[Symbol] = set()
     for column in sol.coeffs:
         for coeff in column:
@@ -224,9 +229,14 @@ def initial_jet_bindings(sol: SeriesSolution, initial_exprs: list[Expr],
     for k in range(problem.n_fields):
         needed.add(problem.jet_symbol(k))
     derive = jet_derivatives([normalize(e) for e in initial_exprs])
-    for jsym in needed:
-        bind[jsym] = eval_num(derive(jsym), bind)
-    return bind
+    derived = [(jsym, derive(jsym)) for jsym in needed]
+    binds = []
+    for space_values in points:
+        bind = {space_var(j): value for j, value in enumerate(space_values)}
+        for jsym, e in derived:
+            bind[jsym] = eval_num(e, bind)
+        binds.append(bind)
+    return binds
 
 
 # ---------------------------------------------------------------------------

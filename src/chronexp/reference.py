@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NonFiniteValue
 from .expr import (
     Add,
@@ -292,8 +290,10 @@ def compare_series_to_reference(sol: SeriesSolution, entry: CatalogEntry,
                else eval_num(p.initial_time, {}))
     # (bindings, point) per sample point, shared by every offset
     if p.kind == "pde":
-        samples = [(initial_jet_bindings(sol, list(entry.initial_exprs), [x]),
-                    x) for x in (points or [0.0])]
+        xs = points or [0.0]
+        binds = initial_jet_bindings(sol, list(entry.initial_exprs),
+                                     [[x] for x in xs])
+        samples = list(zip(binds, xs))
     else:
         samples = [({p.jet_symbol(k): v
                      for k, v in enumerate(entry.initial_values)}, None)]
@@ -301,15 +301,16 @@ def compare_series_to_reference(sol: SeriesSolution, entry: CatalogEntry,
         if p.initial_name is not None:
             bind[INITIAL_TIME] = a_value
 
+    times = [a_value + dt for dt in t_offsets]
+    # series rows per sample point, one row per time
+    series = [eval_series(sol, times, bind) for bind, _ in samples]
     max_errors = []
-    for dt in t_offsets:
-        t = a_value + dt
+    for i, t in enumerate(times):
         worst = 0.0
-        for bind, x in samples:
-            series_vals = eval_series(sol, t, bind)
+        for (_, x), rows in zip(samples, series):
             reference = _reference(entry, t, a_value, x)
             worst = max(worst, *(abs(s - r)
-                                 for s, r in zip(series_vals, reference)))
+                                 for s, r in zip(rows[i], reference)))
         max_errors.append(worst)
     return ErrorTable(
         entry_name=entry.name,
@@ -340,6 +341,8 @@ def convergence_slope(offsets: list[float], errors: list[float]) -> float:
     pairs = [(dt, err) for dt, err in zip(offsets, errors) if err > 0.0]
     if len(pairs) < 2:
         raise ValueError("need at least two nonzero errors for a slope")
+    import numpy as np
+
     xs = np.log([dt for dt, _ in pairs])
     ys = np.log([err for _, err in pairs])
     return float(np.polyfit(xs, ys, 1)[0])

@@ -134,7 +134,7 @@ def test_criterion_5_convergence_order(capsys):
 def test_criterion_6_closed_form_reproduction(capsys):
     riccati = catalog_entry("riccati").problem
     sol = lie_coefficients(build_generator(riccati), 8)
-    value = eval_series(sol, 0.1, {jet(0, ()): 1.0})[0]
+    value = eval_series(sol, [0.1], {jet(0, ()): 1.0})[0][0]
     riccati_err = abs(value - 1.0 / 1.1)
 
     heat = catalog_entry("heat").problem
@@ -142,8 +142,8 @@ def test_criterion_6_closed_form_reproduction(capsys):
     ic = [normalize(parse_expression("sin(x)", heat.context()))]
     heat_err = 0.0
     for x in (-1.0, 0.3, 0.9, 1.5, 2.2):
-        bind = initial_jet_bindings(sol, ic, [x])
-        got = eval_series(sol, 0.05, bind)[0]
+        bind = initial_jet_bindings(sol, ic, [[x]])[0]
+        got = eval_series(sol, [0.05], bind)[0][0]
         heat_err = max(heat_err,
                        abs(got - math.exp(-0.05) * math.sin(x)))
     ok = riccati_err <= 1e-8 and heat_err <= 1e-9

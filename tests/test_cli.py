@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -72,7 +73,7 @@ class TestSolve:
         assert set(doc) == {"problem", "coefficients", "evaluations",
                             "reports"}
         problem = parse_problem(json.dumps(doc["problem"]))
-        original = parse_problem(open(fx("burgers")).read())
+        original = parse_problem(Path(fx("burgers")).read_text())
         assert problem == dataclasses.replace(original, order=3)
         sol = lie_coefficients(build_generator(problem), 3)
         ctx = problem.context(max_jet_order=16)
@@ -195,6 +196,18 @@ class TestEval:
         (("eval", "FIX:heat", "--ic", "sin(t)", "--x", "0.1", "--t", "0.1"),
          "space variables"),
         (("eval", "FIX:linear_time", "--ic", "c=1", "--t", "0.1"), "a"),
+        (("eval", "FIX:heat", "--ic", "sin(x)", "--t", "0.1", "--x", ","),
+         "--x needs at least one value"),
+        (("eval", "FIX:riccati", "--ic", "c=1", "--t", "nan,inf"),
+         "finite"),
+        (("eval", "FIX:riccati", "--ic", "c=1", "--t", "1e999"), "finite"),
+        (("eval", "FIX:heat", "--ic", "sin(x)", "--t", "0.1", "--x", "nan"),
+         "finite"),
+        (("eval", "FIX:riccati", "--ic", "c=nan", "--t", "0.1"), "finite"),
+        (("eval", "FIX:riccati", "--ic", "c=nan", "--t", "0.1",
+          "--format", "json"), "finite"),
+        (("eval", "FIX:linear_time", "--ic", "c=1,a=-inf", "--t", "0.1"),
+         "finite"),
     ])
     def test_input_errors(self, capsys, argv, needle):
         argv = [a.replace("FIX:riccati", fx("riccati"))

@@ -156,8 +156,7 @@ class TestChronEquiv:
     def test_detects_tampered_series(self, riccati):
         # Flip the rhs sign: both constructions track the flipped
         # problem, so they still agree with each other.
-        doc = json.loads(open("tests/fixtures/corrupt/riccati.json").read())
-        flipped = parse_problem(json.dumps(doc))
+        flipped = load_fixture("corrupt/riccati")
         assert chron_equiv_check(solve(flipped, 4)).passed
 
     def test_reports_first_wrong_coefficient(self, broken_riccati):

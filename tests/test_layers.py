@@ -3,9 +3,12 @@ of the Lie-series generator, so they can certify the series it builds.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chronexp"
+HEAT = str(Path(__file__).resolve().parent / "fixtures" / "heat.json")
 GENERATOR = {"build_generator", "apply_generator", "apply_series_to_function",
              "lie_coefficients"}
 
@@ -67,3 +70,35 @@ def test_residual_route_never_names_the_generator():
         assert not used & GENERATOR, (name, used & GENERATOR)
         pending += [n for n in used if n in functions]
     assert {"jet_derivatives", "total_derivative"} <= seen
+
+
+def exits_and_numpy_loaded(*argvs: list[str]) -> tuple[list[int], bool]:
+    """Exit codes of chronexp.cli.main over each argv, run in order in one
+    fresh interpreter, and whether numpy was imported by the end.
+    """
+    script = ("import sys\n"
+              f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+              "from chronexp.cli import main\n"
+              f"codes = [main(argv) for argv in {list(argvs)!r}]\n"
+              "print(codes, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=300,
+                          check=True)
+    codes, loaded = proc.stdout.splitlines()[-1].rsplit(" ", 1)
+    return ast.literal_eval(codes), loaded == "True"
+
+
+def test_series_commands_never_load_numpy():
+    # numpy serves only the matrix product integrals of verify's dyson
+    # suite; importing it costs every other command time and memory.
+    codes, loaded = exits_and_numpy_loaded(
+        ["solve", HEAT],
+        ["eval", HEAT, "--ic", "sin(x)", "--t", "0.1", "--x", "0.3"])
+    assert codes == [0, 0]
+    assert not loaded
+
+
+def test_dyson_suite_loads_numpy():
+    codes, loaded = exits_and_numpy_loaded(["verify", "--suite", "dyson"])
+    assert codes == [0]
+    assert loaded

@@ -10,6 +10,7 @@ import pytest
 from chronexp import (
     AUX,
     Add,
+    DomainError,
     ExpressionBlowup,
     Mul,
     Pow,
@@ -38,6 +39,7 @@ from chronexp import (
     taylor_coefficients,
     total_derivative,
 )
+from chronexp.lie import jet_derivatives
 
 from conftest import FIXTURES, load_fixture, random_expr
 
@@ -264,31 +266,31 @@ class TestResidual:
 class TestEvalSeries:
     def test_riccati_near_exact(self, riccati):
         sol = lie_coefficients(build_generator(riccati), 8)
-        value = eval_series(sol, 0.1, {jet(0, ()): 1.0})[0]
+        value = eval_series(sol, [0.1], {jet(0, ()): 1.0})[0][0]
         assert abs(value - 1.0 / 1.1) <= 1e-8
 
     def test_initial_time_returns_initial_data(self, riccati):
         sol = lie_coefficients(build_generator(riccati), 6)
-        assert eval_series(sol, 0.0, {jet(0, ()): 0.37})[0] == 0.37
+        assert eval_series(sol, [0.0], {jet(0, ()): 0.37})[0][0] == 0.37
 
     def test_heat_mode_solution(self, heat):
         sol = lie_coefficients(build_generator(heat), 6)
         ic = [normalize(parse_expression("sin(x)", heat.context()))]
-        bind = initial_jet_bindings(sol, ic, [0.3])
-        value = eval_series(sol, 0.05, bind)[0]
+        bind = initial_jet_bindings(sol, ic, [[0.3]])[0]
+        value = eval_series(sol, [0.05], bind)[0][0]
         assert abs(value - math.exp(-0.05) * math.sin(0.3)) <= 1e-10
 
     def test_unbound_jet(self, riccati):
         sol = lie_coefficients(build_generator(riccati), 4)
         with pytest.raises(UnboundSymbol):
-            eval_series(sol, 0.1, {})
+            eval_series(sol, [0.1], {})
 
     def test_jet_bindings_from_initial_expression(self, heat):
         # The heat series only involves even derivatives; bindings cover
         # exactly the jets the coefficients use.
         sol = lie_coefficients(build_generator(heat), 4)
         ic = [normalize(parse_expression("sin(x)", heat.context()))]
-        bind = initial_jet_bindings(sol, ic, [0.3])
+        bind = initial_jet_bindings(sol, ic, [[0.3]])[0]
         assert math.isclose(bind[jet(0, (0,))], math.sin(0.3))
         assert math.isclose(bind[jet(0, (2,))], -math.sin(0.3))
         assert math.isclose(bind[jet(0, (4,))], math.sin(0.3))
@@ -298,8 +300,86 @@ class TestEvalSeries:
         p = load_fixture("burgers")
         sol = lie_coefficients(build_generator(p), 2)
         ic = [normalize(parse_expression("sin(x)", p.context()))]
-        bind = initial_jet_bindings(sol, ic, [0.3])
+        bind = initial_jet_bindings(sol, ic, [[0.3]])[0]
         assert math.isclose(bind[jet(0, (1,))], math.cos(0.3))
+
+
+def per_point_series(sol, t_value, initial_data):
+    """The per-point evaluation that eval_series batches: every coefficient
+    evaluated again at one time, Horner highest order first.
+    """
+    a_value = eval_num(sol.expansion_point, initial_data)
+    dt = t_value - a_value
+    out = []
+    for column in sol.coeffs:
+        acc = 0.0
+        for coeff in reversed(column):
+            acc = acc * dt + eval_num(coeff, initial_data)
+        out.append(acc)
+    return out
+
+
+def per_point_bindings(sol, initial_exprs, space_values):
+    """The per-point bindings that initial_jet_bindings batches: a fresh
+    jet table derived and evaluated at one point.
+    """
+    bind = {space_var(j): v for j, v in enumerate(space_values)}
+    needed = {sol.problem.jet_symbol(k) for k in range(sol.problem.n_fields)}
+    for column in sol.coeffs:
+        for coeff in column:
+            needed |= jets_of(coeff)
+    derive = jet_derivatives([normalize(e) for e in initial_exprs])
+    for jsym in needed:
+        bind[jsym] = eval_num(derive(jsym), bind)
+    return bind
+
+
+class TestBatchedEvaluation:
+    """eval_series and initial_jet_bindings give, bit for bit, the floats of
+    the per-point path they replace.
+    """
+
+    @pytest.mark.parametrize("name,data,a_value", [
+        ("riccati", {"c": 0.7}, 0.0),
+        ("harmonic", {"c1": 1.0, "c2": -0.4}, 0.0),
+        ("linear_time", {"c": 1.3, "a": 0.25}, 0.25),
+        ("lotka_volterra", {"c1": 1.2, "c2": 0.9}, 0.0),
+    ])
+    def test_ode_matches_per_point(self, name, data, a_value):
+        p = load_fixture(name)
+        sol = lie_coefficients(build_generator(p), 8)
+        names = p.context().names
+        bind = {names[k]: v for k, v in data.items()}
+        times = [a_value, a_value - 0.3, -0.45, 0.1, 0.7]
+        rows = eval_series(sol, times, bind)
+        assert rows == [per_point_series(sol, t, bind) for t in times]
+        assert rows[0] == [bind[p.jet_symbol(k)] for k in range(p.n_fields)]
+
+    @pytest.mark.parametrize("name,order", [
+        ("heat", 8), ("transport", 8), ("burgers", 6), ("kdv", 4)])
+    def test_pde_matches_per_point(self, name, order):
+        p = load_fixture(name)
+        sol = lie_coefficients(build_generator(p), order)
+        ic = [normalize(parse_expression("sin(x)", p.context()))]
+        xs = [-1.0, 0.0, 0.3, 2.2]
+        times = [0.0, -0.05, 0.1, 0.4]
+        binds = initial_jet_bindings(sol, ic, [[x] for x in xs])
+        assert binds == [per_point_bindings(sol, ic, [x]) for x in xs]
+        for bind in binds:
+            assert (eval_series(sol, times, bind)
+                    == [per_point_series(sol, t, bind) for t in times])
+
+    def test_missing_binding_still_raises(self):
+        p = load_fixture("harmonic")
+        sol = lie_coefficients(build_generator(p), 4)
+        with pytest.raises(UnboundSymbol):
+            eval_series(sol, [0.1, 0.2], {p.jet_symbol(0): 1.0})
+
+    def test_domain_error_at_one_point_still_raises(self, heat):
+        sol = lie_coefficients(build_generator(heat), 4)
+        ic = [normalize(parse_expression("ln(x)", heat.context()))]
+        with pytest.raises(DomainError):
+            initial_jet_bindings(sol, ic, [[0.5], [-1.0]])
 
 
 # ---------------------------------------------------------------------------
