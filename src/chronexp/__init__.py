@@ -67,7 +67,6 @@ from .lie import (
     SeriesSolution,
     apply_generator,
     apply_series_to_function,
-    assemble_series,
     build_generator,
     check_homomorphism,
     eval_series,
@@ -81,7 +80,6 @@ from .dyson import (
     EquivalenceReport,
     InverseIdentityReport,
     MatrixPath,
-    PicardIterate,
     airy_path,
     check_inverse_identity,
     chron_equiv_check,

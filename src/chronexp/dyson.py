@@ -49,17 +49,6 @@ EXPM_TOL = 1e-13
 # Symbolic Picard-Volterra iteration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PicardIterate:
-    """Iterate u^(k): per-field polynomial in (t - a) with jet coefficients.
-    Orders n <= k agree with the true solution's Taylor coefficients.
-    """
-
-    problem: ProblemSpec
-    k: int
-    fields: tuple[Expr, ...]
-
-
 def _require_ode(p: ProblemSpec) -> None:
     for fname, rhs in zip(p.field_names, p.rhs):
         for symbol in symbols_of(rhs):
@@ -69,25 +58,24 @@ def _require_ode(p: ProblemSpec) -> None:
                     "oracle covers ode and system problems only")
 
 
-def picard_iterate(p: ProblemSpec, k: int, max_degree: int | None = None,
-                   term_budget: int = DEFAULT_TERM_BUDGET) -> PicardIterate:
+def picard_iterate(p: ProblemSpec, k: int) -> tuple[Expr, ...]:
     """k rounds of u^(j) = c - int_a^t F(tau, u^(j-1)(tau)) dtau with exact
-    polynomial integration.
+    polynomial integration: per field, a polynomial in (t - a) whose orders
+    n <= k agree with the true solution's Taylor coefficients.
 
-    By default the iterate is untruncated (its degree can reach 2^k scale
-    for quadratic rhs), so the rhs must be polynomial in time and fields.
-    max_degree drops powers of (t - a) beyond the bound, which cannot
-    change the coefficients at or below it; any rhs is then accepted.
+    The iterate is untruncated (its degree can reach 2^k scale for
+    quadratic rhs), so the rhs must be polynomial in time and fields.
     """
-    columns = _picard_columns(p, k, max_degree, term_budget)
-    fields = tuple(polynomial(column, p.initial_time) for column in columns)
-    return PicardIterate(problem=p, k=k, fields=fields)
+    columns = _picard_columns(p, k, None, DEFAULT_TERM_BUDGET)
+    return tuple(polynomial(column, p.initial_time) for column in columns)
 
 
 def _picard_columns(p: ProblemSpec, k: int, max_degree: int | None,
                     term_budget: int) -> list[list[Expr]]:
     """The coefficients of (t - a)^n of every field of picard_iterate's
-    k-th iterate, lowest order first.
+    k-th iterate, lowest order first.  max_degree drops powers of (t - a)
+    beyond the bound, which cannot change the coefficients at or below
+    it; any rhs is then accepted.
     """
     _require_ode(p)
     seeds = [Sym(p.jet_symbol(i)) for i in range(p.n_fields)]

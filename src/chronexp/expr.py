@@ -18,6 +18,7 @@ from typing import Callable, Mapping
 from .errors import (
     DivisionByZero,
     DomainError,
+    NonFiniteValue,
     UnboundSymbol,
     UnsupportedFunction,
 )
@@ -204,14 +205,6 @@ ELEMENTARY: dict[str, Elementary] = {
 }
 
 
-def _coerce(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Const(Fraction(value))
-    raise TypeError(f"cannot use {value!r} as an expression")
-
-
 # ---------------------------------------------------------------------------
 # Canonical ordering
 # ---------------------------------------------------------------------------
@@ -321,15 +314,9 @@ def _pow_terms(base: _Terms, n: int) -> _Terms:
         new_mono = tuple((atom, k * n) for atom, k in mono)
         return {new_mono: coeff ** n}
     if n > 0:
-        result: _Terms = {(): Fraction(1)}
-        square = dict(base)
-        k = n
-        while k:
-            if k & 1:
-                result = _mul_terms(result, square)
-            k >>= 1
-            if k:
-                square = _mul_terms(square, square)
+        result = base
+        for _ in range(n - 1):
+            result = _mul_terms(result, base)
         return result
     # negative power of a genuine sum: keep the primitive canonical sum as
     # an atom so that rationally-proportional denominators share one base
@@ -460,12 +447,12 @@ def subst(e: Expr, sym: Symbol, value: Expr) -> Expr:
     """Replace every occurrence of ``sym`` by ``value``, then normalize.
     The replacement is not rescanned, so self-referential values are safe.
     """
-    return normalize(_subst(e, {sym: _coerce(value)}))
+    return normalize(_subst(e, {sym: value}))
 
 
 def subst_many(e: Expr, mapping: Mapping[Symbol, Expr]) -> Expr:
     """Simultaneous substitution of several symbols, then normalize."""
-    return normalize(_subst(e, {s: _coerce(v) for s, v in mapping.items()}))
+    return normalize(_subst(e, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +479,19 @@ def eval_num(e: Expr, bindings: Mapping[Symbol, float]) -> float:
         base = eval_num(e.base, bindings)
         if base == 0.0 and e.exponent < 0:
             raise DomainError("zero raised to a negative power")
-        return base ** e.exponent
+        try:
+            return base ** e.exponent
+        except OverflowError:
+            raise NonFiniteValue(f"{base}^{e.exponent} overflows") from None
     if isinstance(e, Func):
         x = eval_num(e.arg, bindings)
         entry = ELEMENTARY.get(e.name)
         if entry is None:
             raise UnsupportedFunction(f"no numeric rule for '{e.name}'")
-        return entry.numeric(x)
+        try:
+            return entry.numeric(x)
+        except (OverflowError, ValueError):
+            raise NonFiniteValue(f"{e.name}({x}) is not finite") from None
     raise TypeError(f"not an expression node: {e!r}")
 
 

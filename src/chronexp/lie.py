@@ -46,7 +46,7 @@ from .expr import (
     term_count,
 )
 from .parser import ProblemSpec
-from .series import compose, polynomial
+from .series import compose
 
 DEFAULT_TERM_BUDGET = 10 ** 6
 
@@ -248,11 +248,6 @@ def taylor_coefficients(e: Expr, point: Expr, order: int) -> list[Expr]:
     in the time symbol.
     """
     return compose(normalize(e), {TIME: [point, ONE]}, order)
-
-
-def assemble_series(sol: SeriesSolution, index: int) -> Expr:
-    """The truncated series of field ``index`` as an expression in t."""
-    return polynomial(sol.coeffs[index], sol.expansion_point)
 
 
 def _jet_series(sol: SeriesSolution,

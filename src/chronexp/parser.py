@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import (
     MixedDerivativeOrderTooHigh,
@@ -367,7 +367,10 @@ def parse_expression(text: str, ctx: SymbolContext | "ProblemSpec") -> Expr:
     """
     if isinstance(ctx, ProblemSpec):
         ctx = ctx.context()
-    return _Parser(text, ctx).parse()
+    try:
+        return _Parser(text, ctx).parse()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +411,6 @@ class ProblemSpec:
             self.param_names, self.initial_name,
             max_jet_order=max_jet_order)
 
-    def namer(self, style: str = "initial") -> Callable[[Symbol], str]:
-        """Symbol-spelling function for render: style 'initial' writes jets
-        as initial-data aliases (c, c_xx), style 'field' as field names.
-        """
-        if style == "field":
-            jet_bases = self.field_names
-        elif style == "initial":
-            jet_bases = tuple(map(self.initial_alias, range(self.n_fields)))
-        else:
-            raise ValueError(f"unknown render style '{style}'")
-        return partial(spell_symbol, time=self.time_name,
-                       initial=self.initial_name or "a",
-                       space=self.space_names, jet_bases=jet_bases)
-
 
 _TOP_KEYS = {"kind", "time", "space", "fields", "rhs", "order", "params"}
 _TIME_KEYS = {"name", "initial"}
@@ -449,14 +438,14 @@ def _string_list(doc: dict, key: str, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def parse_problem(doc: str, fmt: str = "json") -> ProblemSpec:
+def parse_problem(doc: str) -> ProblemSpec:
     """Parse and fully validate a problem document."""
-    if fmt != "json":
-        raise SchemaError(f"unsupported document format '{fmt}'")
     try:
         data = json.loads(doc)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"document is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("document is nested too deeply") from None
     if not isinstance(data, dict):
         raise SchemaError("document root must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -552,7 +541,18 @@ def parse_problem(doc: str, fmt: str = "json") -> ProblemSpec:
 
 def render(e: Expr, problem: ProblemSpec | None = None,
            style: str = "initial") -> str:
-    """Render ``e``; with a problem the jets are spelled per ``style``."""
+    """Render ``e``; with a problem the jets are spelled per ``style``:
+    'initial' as initial-data aliases (c, c_xx), 'field' as field names.
+    """
     if problem is None:
         return format_expr(e)
-    return format_expr(e, problem.namer(style))
+    if style == "field":
+        jet_bases = problem.field_names
+    elif style == "initial":
+        jet_bases = tuple(map(problem.initial_alias, range(problem.n_fields)))
+    else:
+        raise ValueError(f"unknown render style '{style}'")
+    return format_expr(e, partial(
+        spell_symbol, time=problem.time_name,
+        initial=problem.initial_name or "a", space=problem.space_names,
+        jet_bases=jet_bases))

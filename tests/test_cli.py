@@ -116,6 +116,31 @@ class TestSolve:
         assert code == 2
         assert "resource limit" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_term_budget_below_one(self, capsys, budget):
+        code, _, err = run(capsys, "solve", fx("riccati"),
+                           "--term-budget", budget)
+        assert code == 1
+        assert err == "chronexp: error: --term-budget must be at least 1\n"
+
+    @pytest.mark.parametrize("content,needle", [
+        (b'\xff\xfe{"kind": "ode"}', "not UTF-8"),
+        ('{"kind": "ode", "time": {"name": "t", "initial": 0}, '
+         '"fields": ["u"], "rhs": {"u": "' + "(" * 3000 + "u" + ")" * 3000
+         + '"}}', "nested too deeply"),
+        ("[" * 100000, "nested too deeply"),
+    ], ids=["not-utf8", "deep-rhs", "deep-json"])
+    def test_unreadable_document(self, tmp_path, capsys, content, needle):
+        bad = tmp_path / "bad.json"
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(content)
+        code, _, err = run(capsys, "solve", str(bad))
+        assert code == 1
+        assert err.startswith("chronexp: error:") and err.count("\n") == 1
+        assert needle in err
+
 
 # ---------------------------------------------------------------------------
 # eval
@@ -208,6 +233,16 @@ class TestEval:
           "--format", "json"), "finite"),
         (("eval", "FIX:linear_time", "--ic", "c=1,a=-inf", "--t", "0.1"),
          "finite"),
+        (("eval", "FIX:riccati", "--ic", "c=1e200", "--t", "0.1"),
+         "overflows"),
+        (("eval", "FIX:heat", "--ic", "exp(x)", "--x", "800", "--t", "0.1",
+          "--order", "2"), "exp(800.0) is not finite"),
+        (("eval", "FIX:riccati", "--ic", "c=1", "--t", "1e300", "--order",
+          "2", "--format", "json"), "not a finite double"),
+        (("eval", "FIX:riccati", "--ic", "c=1", "--t", "0.1",
+          "--term-budget", "0"), "--term-budget must be at least 1"),
+        (("eval", "FIX:riccati", "--ic", "c=1", "--t", "0.1",
+          "--term-budget", "-5"), "--term-budget must be at least 1"),
     ])
     def test_input_errors(self, capsys, argv, needle):
         argv = [a.replace("FIX:riccati", fx("riccati"))
@@ -218,6 +253,19 @@ class TestEval:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert needle in err
+
+    def test_initial_expression_rejects_parameters(self, tmp_path, capsys):
+        # nothing can bind a pde's parameter, so it may not appear in --ic
+        doc = {"kind": "pde", "time": {"name": "t", "initial": 0},
+               "space": ["x"], "fields": ["u"], "params": ["k"],
+               "rhs": {"u": "-k*u_xx"}}
+        path = tmp_path / "kheat.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "eval", str(path), "--ic", "k*sin(x)",
+                           "--t", "0.1", "--x", "0.3")
+        assert code == 1
+        assert err == ("chronexp: error: initial expressions may use only "
+                       "space variables, found 'k'\n")
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +299,12 @@ class TestVerify:
         assert "inverse identity [airy]" in out
         assert "inverse identity [random seed 0]" in out
         assert "product-integral order" in out
+
+    def test_negative_seed(self, capsys):
+        code, _, err = run(capsys, "verify", "--suite", "dyson",
+                           "--seed", "-1")
+        assert code == 1
+        assert err == "chronexp: error: --seed must be non-negative\n"
 
     def test_seed_flag(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "dyson",

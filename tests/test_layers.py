@@ -102,3 +102,24 @@ def test_dyson_suite_loads_numpy():
     codes, loaded = exits_and_numpy_loaded(["verify", "--suite", "dyson"])
     assert codes == [0]
     assert loaded
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # No linter runs on the package, so a deletion that leaves its imports
+    # behind shows up here: every imported name must be read somewhere.
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append((path.name, name))
+    assert not unused

@@ -19,7 +19,6 @@ from chronexp import (
     UnboundSymbol,
     apply_generator,
     apply_series_to_function,
-    assemble_series,
     build_generator,
     check_homomorphism,
     const,
@@ -40,6 +39,7 @@ from chronexp import (
     total_derivative,
 )
 from chronexp.lie import jet_derivatives
+from chronexp.series import polynomial
 
 from conftest import FIXTURES, load_fixture, random_expr
 
@@ -405,7 +405,8 @@ class TestFunctionSeries:
         order = 5
         G = normalize(parse_expression("c^3", riccati))
         got = apply_series_to_function(g, G, order)
-        poly = assemble_series(lie_coefficients(g, order), 0)
+        sol = lie_coefficients(g, order)
+        poly = polynomial(sol.coeffs[0], sol.expansion_point)
         cubed = normalize(Pow(poly, 3))
         want = taylor_coefficients(cubed, const(0), order)
         assert got == want

@@ -291,10 +291,6 @@ class TestParseProblem:
         with pytest.raises(SchemaError):
             parse_problem("[1, 2]")
 
-    def test_unsupported_format(self):
-        with pytest.raises(SchemaError):
-            parse_problem("{}", fmt="yaml")
-
     def test_parse_expression_accepts_problem_or_context(self):
         p = load_fixture("riccati")
         assert parse_expression("u^2", p) == \
