@@ -3,8 +3,9 @@
 Two routes certify the solution operator independently of the Lie-series
 machinery:
 
-* symbolic Picard iteration on the integral form u = c - int_a^t F(tau, u),
-  whose iterated integrals are the applied opposed-chronological series, and
+* the integral form u = c - int_a^t F(tau, u), whose fixed point
+  ``series.compose`` expands one order at a time and whose Picard iterates
+  are the applied opposed-chronological series, and
 * a numeric midpoint product integral for linear matrix problems,
   approximating the time-ordered exponential E and its inverse, with the
   inverse identity E_inv * E = I checked in the infinity norm.
@@ -29,7 +30,6 @@ from .expr import (
     Sym,
     SymbolKind,
     TIME,
-    ZERO,
     normalize,
     symbols_of,
     term_count,
@@ -58,6 +58,12 @@ def _require_ode(p: ProblemSpec) -> None:
                     "oracle covers ode and system problems only")
 
 
+def _check_budget(columns: list[list[Expr]], term_budget: int) -> None:
+    if any(term_count(c) > term_budget for column in columns for c in column):
+        raise ExpressionBlowup(
+            f"Picard coefficient exceeds {term_budget} monomials")
+
+
 def picard_iterate(p: ProblemSpec, k: int) -> tuple[Expr, ...]:
     """k rounds of u^(j) = c - int_a^t F(tau, u^(j-1)(tau)) dtau with exact
     polynomial integration: per field, a polynomial in (t - a) whose orders
@@ -66,39 +72,19 @@ def picard_iterate(p: ProblemSpec, k: int) -> tuple[Expr, ...]:
     The iterate is untruncated (its degree can reach 2^k scale for
     quadratic rhs), so the rhs must be polynomial in time and fields.
     """
-    columns = _picard_columns(p, k, None, DEFAULT_TERM_BUDGET)
-    return tuple(polynomial(column, p.initial_time) for column in columns)
-
-
-def _picard_columns(p: ProblemSpec, k: int, max_degree: int | None,
-                    term_budget: int) -> list[list[Expr]]:
-    """The coefficients of (t - a)^n of every field of picard_iterate's
-    k-th iterate, lowest order first.  max_degree drops powers of (t - a)
-    beyond the bound, which cannot change the coefficients at or below
-    it; any rhs is then accepted.
-    """
     _require_ode(p)
     seeds = [Sym(p.jet_symbol(i)) for i in range(p.n_fields)]
-    top = None if max_degree is None else max_degree - 1
     columns: list[list[Expr]] = [[seed] for seed in seeds]
     for _ in range(k):
         # F_i(tau, u(tau)) in powers of w = tau - a, then one integration
         mapped = {TIME: [p.initial_time, ONE]}
         mapped.update((seed.symbol, column)
                       for seed, column in zip(seeds, columns))
-        new_columns = []
-        for seed, rhs in zip(seeds, p.rhs):
-            composed = compose(rhs, mapped, top)
-            column = [seed] + [
-                normalize(Mul((Const(Fraction(-1, m + 1)), cm)))
-                for m, cm in enumerate(composed)]
-            for coeff in column:
-                if term_count(coeff) > term_budget:
-                    raise ExpressionBlowup(
-                        f"Picard iterate exceeds {term_budget} monomials")
-            new_columns.append(column)
-        columns = new_columns
-    return columns
+        columns = [[seed] + [normalize(Mul((Const(Fraction(-1, m + 1)), cm)))
+                             for m, cm in enumerate(compose(rhs, mapped, None))]
+                   for seed, rhs in zip(seeds, p.rhs)]
+        _check_budget(columns, DEFAULT_TERM_BUDGET)
+    return tuple(polynomial(column, p.initial_time) for column in columns)
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +112,24 @@ class EquivalenceReport:
                 f"at order {self.failing_order}")
 
 
-def chron_equiv_check(sol: SeriesSolution) -> EquivalenceReport:
-    """Compare the coefficients of picard_iterate(sol.problem, sol.order)
-    with the solved Lie series term by term.
+def chron_equiv_check(sol: SeriesSolution,
+                      term_budget: int = DEFAULT_TERM_BUDGET) -> EquivalenceReport:
+    """Compare the fixed point of the integral form through sol.order, whose
+    coefficients are those of picard_iterate(sol.problem, sol.order), with
+    the solved Lie series term by term.
     """
     p = sol.problem
     order = sol.order
-    picard = _picard_columns(p, order, order, DEFAULT_TERM_BUDGET)
+    _require_ode(p)
+    fields = {p.jet_symbol(i): rhs for i, rhs in enumerate(p.rhs)}
+    mapped = {TIME: [p.initial_time, ONE]}
+    picard = [compose(Sym(c), mapped, order, fields) for c in fields]
+    _check_budget(picard, term_budget)
     rows = []
     failing_field = None
     failing_order = None
     for i in range(p.n_fields):
-        picard_coeffs = picard[i] + [ZERO] * (order + 1 - len(picard[i]))
-        row = tuple(picard_coeffs[n] == sol.coeffs[i][n]
+        row = tuple(picard[i][n] == sol.coeffs[i][n]
                     for n in range(order + 1))
         rows.append(row)
         for n, ok in enumerate(row):

@@ -9,8 +9,10 @@ reciprocal recurrence, and every elementary function y = f(u) obeys
     y_n = (1/n) sum_{k=1..n} k u_k [f'(u)]_{n-k},
 
 with f' read from ``expr.ELEMENTARY``, so exp feeds itself and sin and cos
-feed each other one coefficient at a time.  Coefficient n of a node depends
-on coefficients 0..n of its children only, so truncation is exact.
+feed each other one coefficient at a time, and the fixed point u = c -
+int_a^t F(tau, u) dtau has u_{n+1} = -F_n/(n+1) (Jorba & Zou, *Experimental
+Math.* 14 (2005) 99-117, section 2).  Coefficient n of a node depends on
+coefficients 0..n of its children only, so truncation is exact.
 
 This module never sees the generator: the residual, Picard and
 homomorphism oracles rest on it independently of the Lie series.
@@ -82,10 +84,12 @@ def _reciprocal(out: _Series, v: _Series) -> None:
 
 
 def compose(e: Expr, mapped: Mapping[Symbol, Sequence[Expr]],
-            order: int | None) -> list[Expr]:
+            order: int | None,
+            integrals: Mapping[Symbol, Expr] = {}) -> list[Expr]:
     """Coefficients [y_0, ..., y_order] in w of the canonical tree ``e`` once
     each symbol of ``mapped`` is replaced by the series sum_n c_n w^n of its
-    coefficient list; every other symbol is a constant.
+    coefficient list, and each symbol c of ``integrals`` by the series
+    c - int_a^t F dtau of its tree F; every other symbol is a constant.
 
     With order None the exact polynomial degree is used, and a mapped
     symbol in a non-polynomial position raises NonPolynomialRhs.
@@ -95,8 +99,8 @@ def compose(e: Expr, mapped: Mapping[Symbol, Sequence[Expr]],
     def series_of(node: Expr) -> _Series:
         s = nodes.get(node)
         if s is None:
-            # Registered before its children, so that exp(u) and the
-            # sin(u)/cos(u) pair reach themselves through f'(u).
+            # Registered before its children, so that exp(u), the
+            # sin(u)/cos(u) pair and an integral reach themselves.
             s = nodes[node] = _Series()
             define(s, node)
         return s
@@ -106,6 +110,10 @@ def compose(e: Expr, mapped: Mapping[Symbol, Sequence[Expr]],
             coeffs = mapped[node.symbol]
             s.degree = len(coeffs) - 1
             s.step = coeffs.__getitem__
+        elif isinstance(node, Sym) and node.symbol in integrals:
+            f = series_of(integrals[node.symbol])
+            s.step = lambda n: node if n == 0 else normalize(
+                Mul((Const(Fraction(-1, n)), f[n - 1])))
         elif isinstance(node, (Const, Sym)):
             s.degree = 0
             s.step = lambda n: node

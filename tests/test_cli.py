@@ -8,10 +8,13 @@ import pytest
 
 from chronexp import (
     build_generator,
+    chron_equiv_check,
+    cli,
     lie_coefficients,
     normalize,
     parse_expression,
     parse_problem,
+    residual_check,
 )
 from chronexp.cli import main
 
@@ -287,6 +290,36 @@ class TestVerify:
         assert code == 3
         assert "FAIL defining equation [vs catalog riccati]" in out
         assert "order 1" in out
+
+    @pytest.mark.parametrize("path,calls", [
+        (FIXTURES / "riccati.json", 1),
+        (FIXTURES / "corrupt" / "riccati.json", 2)], ids=["same", "corrupt"])
+    def test_catalog_rhs_reuses_self_check(self, capsys, monkeypatch, path,
+                                           calls):
+        # The catalog cross-check repeats the self-check unless the rhs
+        # differ, as in the sign-flipped corrupt fixture.
+        seen = []
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return residual_check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "residual_check", counted)
+        run(capsys, "verify", str(path))
+        assert len(seen) == calls
+
+    def test_term_budget_reaches_picard(self, capsys, monkeypatch):
+        budgets = []
+
+        def recorded(sol, term_budget):
+            budgets.append(term_budget)
+            return chron_equiv_check(sol, term_budget)
+
+        monkeypatch.setattr(cli, "chron_equiv_check", recorded)
+        code, _, _ = run(capsys, "verify", fx("riccati"),
+                         "--term-budget", "500")
+        assert code == 0
+        assert budgets == [500]
 
     def test_pde_file_mode(self, capsys):
         code, out, _ = run(capsys, "verify", fx("heat"), "--order", "4")

@@ -2,20 +2,27 @@
 matrix product integral with its inverse identity.
 """
 
+import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from chronexp import (
+    Add,
+    Const,
+    ExpressionBlowup,
     MatrixPath,
     NonPolynomialRhs,
+    ONE,
+    Sym,
+    TIME,
     airy_path,
     build_generator,
     check_inverse_identity,
     chron_equiv_check,
-    const,
     lie_coefficients,
     normalize,
     parse_expression,
@@ -26,8 +33,7 @@ from chronexp import (
     taylor_coefficients,
     texp_self_convergence,
 )
-from chronexp.dyson import _picard_columns
-from chronexp.lie import DEFAULT_TERM_BUDGET
+from chronexp.series import compose
 
 from conftest import load_fixture
 
@@ -90,12 +96,18 @@ class TestPicard:
             got = taylor_coefficients(it[i], p.initial_time, k)
             assert got == list(sol.coeffs[i])
 
-    def test_degree_cap_matches_truncation(self, riccati):
-        capped = _picard_columns(riccati, 5, 3, DEFAULT_TERM_BUDGET)
-        full = picard_iterate(riccati, 5)
-        a = capped[0]
-        b = taylor_coefficients(full[0], const(0), 3)
-        assert a == b
+    @pytest.mark.parametrize("name", POLYNOMIAL_FIXTURES)
+    def test_fixed_point_matches_iterate(self, name):
+        # Each field as the fixed point u = c - int_a^t F(tau, u): its orders
+        # 0..k are those of the k-th iterate.
+        p = load_fixture(name)
+        k = 4
+        a = p.initial_time
+        fields = {p.jet_symbol(i): rhs for i, rhs in enumerate(p.rhs)}
+        it = picard_iterate(p, k)
+        for i, c in enumerate(fields):
+            got = compose(Sym(c), {TIME: [a, ONE]}, k, fields)
+            assert got == taylor_coefficients(it[i], a, k)
 
     def test_rejects_pde(self, heat):
         with pytest.raises(NonPolynomialRhs):
@@ -167,6 +179,26 @@ class TestChronEquiv:
         # Picard never reads the series, so only order 3 differs.
         assert report.orders_equal == ((True,) * 3 + (False,) + (True,) * 2,)
         assert report.summary() == "series disagree for field u at order 3"
+
+    def test_reports_wrong_coefficient_of_second_field(self):
+        p = load_fixture("lotka_volterra")
+        sol = solve(p, 6)
+        coeffs = [list(column) for column in sol.coeffs]
+        coeffs[1][4] = normalize(Add((coeffs[1][4], Const(Fraction(1)))))
+        broken = dataclasses.replace(
+            sol, coeffs=tuple(tuple(column) for column in coeffs))
+        report = chron_equiv_check(broken)
+        assert p.field_names[1] == "v"
+        assert (report.failing_field, report.failing_order) == ("v", 4)
+        assert report.orders_equal == (
+            (True,) * 7, (True,) * 4 + (False,) + (True,) * 2)
+
+    def test_term_budget_bounds_picard_coefficients(self):
+        # The largest coefficient through order 8 has 37 monomials.
+        sol = solve(load_fixture("lotka_volterra"), 8)
+        with pytest.raises(ExpressionBlowup):
+            chron_equiv_check(sol, term_budget=10)
+        assert chron_equiv_check(sol, term_budget=37).passed
 
 
 # ---------------------------------------------------------------------------
