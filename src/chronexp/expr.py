@@ -311,8 +311,15 @@ def _pow_terms(base: _Terms, n: int) -> _Terms:
         return {}
     if len(base) == 1:
         (mono, coeff), = base.items()
-        new_mono = tuple((atom, k * n) for atom, k in mono)
-        return {new_mono: coeff ** n}
+        # A sum atom whose exponent turns positive is expanded, as a
+        # positive power of a sum is below, so the result stays canonical.
+        kept = tuple((atom, k * n) for atom, k in mono
+                     if k * n < 0 or not isinstance(atom, Add))
+        out = {kept: coeff ** n}
+        for atom, k in mono:
+            if k * n > 0 and isinstance(atom, Add):
+                out = _mul_terms(out, _pow_terms(_terms(atom), k * n))
+        return out
     if n > 0:
         result = base
         for _ in range(n - 1):

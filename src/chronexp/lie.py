@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import ExpressionBlowup
@@ -147,6 +148,13 @@ class SeriesSolution:
                 if any(s.kind in forbidden for s in symbols_of(c)):
                     raise ValueError("coefficients must not contain t or s")
 
+    @cached_property
+    def jet_tables(self) -> list[Callable[[Symbol], Expr]]:
+        """Memoized D_x^alpha C_{k,n} per order n, shared by every check of
+        this series; ``_jet_series`` extends it as far as a check needs.
+        """
+        return []
+
 
 def apply_series_to_function(g: Generator, G: Expr, order: int,
                              term_budget: int = DEFAULT_TERM_BUDGET) -> list[Expr]:
@@ -247,7 +255,7 @@ def taylor_coefficients(e: Expr, point: Expr, order: int) -> list[Expr]:
     """Exact coefficients of (t - point)^n, n = 0..order, for an expression
     in the time symbol.
     """
-    return compose(normalize(e), {TIME: [point, ONE]}, order)
+    return compose([normalize(e)], {TIME: [point, ONE]}, order)[0]
 
 
 def _jet_series(sol: SeriesSolution,
@@ -255,10 +263,13 @@ def _jet_series(sol: SeriesSolution,
     """The first ``count`` series coefficients of every jet of the solution.
 
     D_x^alpha acts on the series coefficient by coefficient, so coefficient
-    n of jet (k, alpha) is D_x^alpha C_{k,n}: one memoized table per order.
+    n of jet (k, alpha) is D_x^alpha C_{k,n}: one memoized table per order,
+    kept on the solution.
     """
-    tables = [jet_derivatives([column[n] for column in sol.coeffs])
-              for n in range(count)]
+    tables = sol.jet_tables
+    tables += [jet_derivatives([column[n] for column in sol.coeffs])
+               for n in range(len(tables), count)]
+    tables = tables[:count]
     return lambda jsym: [derive(jsym) for derive in tables]
 
 
@@ -296,14 +307,14 @@ def residual_check(sol: SeriesSolution,
         raise ValueError("problem shapes differ, residual is not comparable")
 
     jet_series = _jet_series(sol, sol.order)
-    failing_order = None
-    failing_field = None
-    for i in range(problem.n_fields):
-        rhs = rhs_source.rhs[i]
-        mapped = {TIME: [sol.expansion_point, ONE]}
+    mapped = {TIME: [sol.expansion_point, ONE]}
+    for rhs in rhs_source.rhs:
         for jsym in jets_of(rhs):
             mapped[jsym] = jet_series(jsym)
-        forcing = compose(rhs, mapped, sol.order - 1)
+    failing_order = None
+    failing_field = None
+    for i, forcing in enumerate(compose(rhs_source.rhs, mapped,
+                                        sol.order - 1)):
         column = sol.coeffs[i]
         for n, f_n in enumerate(forcing):
             # coefficient n of du/dt + F(u): (n+1) U_{n+1} + [F(U)]_n
@@ -355,7 +366,8 @@ def check_homomorphism(sol: SeriesSolution, G: Expr, order: int,
     lhs = apply_series_to_function(build_generator(sol.problem), G, order,
                                    term_budget)
     jet_series = _jet_series(sol, order + 1)
-    rhs = compose(G, {jsym: jet_series(jsym) for jsym in jets_of(G)}, order)
+    rhs = compose([G], {jsym: jet_series(jsym) for jsym in jets_of(G)},
+                  order)[0]
     equal = tuple(l == r for l, r in zip(lhs, rhs))
     failing = next((n for n, ok in enumerate(equal) if not ok), None)
     return HomomorphismReport(

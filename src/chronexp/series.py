@@ -14,6 +14,11 @@ int_a^t F(tau, u) dtau has u_{n+1} = -F_n/(n+1) (Jorba & Zou, *Experimental
 Math.* 14 (2005) 99-117, section 2).  Coefficient n of a node depends on
 coefficients 0..n of its children only, so truncation is exact.
 
+Every node keeps its coefficients in ``expr``'s internal term form (monomial
+to rational), the form ``normalize`` works in, and a tree is built only for
+each returned coefficient; one call expands several roots over one node
+table, such as every field of a coupled system.
+
 This module never sees the generator: the residual, Picard and
 homomorphism oracles rest on it independently of the Lie series.
 """
@@ -21,7 +26,7 @@ homomorphism oracles rest on it independently of the Lie series.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import NonPolynomialRhs
 from .expr import (
@@ -36,63 +41,81 @@ from .expr import (
     Sym,
     Symbol,
     TIME,
-    ZERO,
+    _Terms,
+    _add_terms,
+    _build,
+    _mul_terms,
+    _pow_terms,
+    _terms,
     normalize,
 )
 
 
 class _Series:
-    """The coefficients of one node, computed on demand and kept.  Every
-    coefficient beyond ``degree`` is zero (None: no bound, which is also
-    what a node still being defined reports to the nodes built under it).
+    """The coefficients of one node as term dicts, computed on demand and
+    kept.  Every coefficient beyond ``degree`` is zero (None: no bound,
+    which is also what a node still being defined reports to the nodes
+    built under it).
     """
 
     def __init__(self):
         self.degree: int | None = None
-        self.step: Callable[[int], Expr] | None = None
-        self.known: list[Expr] = []
+        self.step: Callable[[int], _Terms] | None = None
+        self.known: list[_Terms] = []
 
-    def __getitem__(self, n: int) -> Expr:
+    def __getitem__(self, n: int) -> _Terms:
         if self.degree is not None and n > self.degree:
-            return ZERO
+            return {}
         while len(self.known) <= n:
             self.known.append(self.step(len(self.known)))
         return self.known[n]
+
+
+def _sum(parts: Iterable[_Terms]) -> _Terms:
+    acc: _Terms = {}
+    for part in parts:
+        _add_terms(acc, part)
+    return acc
+
+
+def _scaled(factor: Fraction, terms: _Terms) -> _Terms:
+    return _mul_terms({(): factor}, terms)
 
 
 def _cauchy(out: _Series, a: _Series, b: _Series) -> None:
     out.degree = (None if a.degree is None or b.degree is None
                   else a.degree + b.degree)
 
-    def step(n: int) -> Expr:
+    def step(n: int) -> _Terms:
         lo = 0 if b.degree is None else max(0, n - b.degree)
         hi = n if a.degree is None else min(n, a.degree)
-        return normalize(Add(tuple(Mul((a[i], b[n - i]))
-                                   for i in range(lo, hi + 1))))
+        return _sum(_mul_terms(a[i], b[n - i]) for i in range(lo, hi + 1))
     out.step = step
 
 
 def _reciprocal(out: _Series, v: _Series) -> None:
     out.degree = 0 if v.degree == 0 else None
 
-    def step(n: int) -> Expr:
+    def step(n: int) -> _Terms:
         if n == 0:
-            return normalize(Pow(v[0], -1))
-        tail = Add(tuple(Mul((v[k], out[n - k])) for k in range(1, n + 1)))
-        return normalize(Mul((MINUS_ONE, out[0], tail)))
+            return _pow_terms(v[0], -1)
+        tail = _sum(_mul_terms(v[k], out[n - k]) for k in range(1, n + 1))
+        return _mul_terms(_scaled(Fraction(-1), out[0]), tail)
     out.step = step
 
 
-def compose(e: Expr, mapped: Mapping[Symbol, Sequence[Expr]],
+def compose(roots: Sequence[Expr], mapped: Mapping[Symbol, Sequence[Expr]],
             order: int | None,
-            integrals: Mapping[Symbol, Expr] = {}) -> list[Expr]:
-    """Coefficients [y_0, ..., y_order] in w of the canonical tree ``e`` once
-    each symbol of ``mapped`` is replaced by the series sum_n c_n w^n of its
-    coefficient list, and each symbol c of ``integrals`` by the series
-    c - int_a^t F dtau of its tree F; every other symbol is a constant.
+            integrals: Mapping[Symbol, Expr] = {}) -> list[list[Expr]]:
+    """Coefficients [y_0, ..., y_order] in w of each canonical tree in
+    ``roots`` once each symbol of ``mapped`` is replaced by the series
+    sum_n c_n w^n of its coefficient list, and each symbol c of
+    ``integrals`` by the series c - int_a^t F dtau of its tree F; every
+    other symbol is a constant.  The roots share one node table, so a
+    subtree common to several is expanded once.
 
-    With order None the exact polynomial degree is used, and a mapped
-    symbol in a non-polynomial position raises NonPolynomialRhs.
+    With order None each root's exact polynomial degree is used, and a
+    mapped symbol in a non-polynomial position raises NonPolynomialRhs.
     """
     nodes: dict[Expr, _Series] = {}
 
@@ -109,19 +132,19 @@ def compose(e: Expr, mapped: Mapping[Symbol, Sequence[Expr]],
         if isinstance(node, Sym) and node.symbol in mapped:
             coeffs = mapped[node.symbol]
             s.degree = len(coeffs) - 1
-            s.step = coeffs.__getitem__
+            s.step = lambda n: _terms(coeffs[n])
         elif isinstance(node, Sym) and node.symbol in integrals:
             f = series_of(integrals[node.symbol])
-            s.step = lambda n: node if n == 0 else normalize(
-                Mul((Const(Fraction(-1, n)), f[n - 1])))
+            s.step = lambda n: _terms(node) if n == 0 else _scaled(
+                Fraction(-1, n), f[n - 1])
         elif isinstance(node, (Const, Sym)):
             s.degree = 0
-            s.step = lambda n: node
+            s.step = lambda n: _terms(node)
         elif isinstance(node, Add):
             terms = [series_of(t) for t in node.terms]
             s.degree = (None if any(t.degree is None for t in terms)
                         else max(t.degree for t in terms))
-            s.step = lambda n: normalize(Add(tuple(t[n] for t in terms)))
+            s.step = lambda n: _sum(t[n] for t in terms)
         elif isinstance(node, Mul):
             *head, last = node.factors
             rest = head[0] if len(head) == 1 else Mul(tuple(head))
@@ -141,24 +164,27 @@ def compose(e: Expr, mapped: Mapping[Symbol, Sequence[Expr]],
             s.degree = 0 if u.degree == 0 else None
             df = series_of(ELEMENTARY[node.name].derivative(node.arg))
 
-            def step(n: int) -> Expr:
+            def step(n: int) -> _Terms:
                 if n == 0:
-                    return normalize(Func(node.name, u[0]))
+                    return _terms(Func(node.name, _build(u[0])))
                 top = n if u.degree is None else min(n, u.degree)
-                parts = tuple(Mul((Const(Fraction(k)), u[k], df[n - k]))
-                              for k in range(1, top + 1))
-                return normalize(Mul((Const(Fraction(1, n)), Add(parts))))
+                return _scaled(Fraction(1, n), _sum(
+                    _mul_terms(_scaled(Fraction(k), u[k]), df[n - k])
+                    for k in range(1, top + 1)))
             s.step = step
         else:
             raise TypeError(f"not an expression node: {node!r}")
 
-    root = series_of(e)
-    if order is None:
-        if root.degree is None:
-            raise NonPolynomialRhs(
-                "expression is not polynomial in the expanded symbols")
-        order = root.degree
-    return [root[n] for n in range(order + 1)]
+    out = []
+    for root in [series_of(e) for e in roots]:
+        top = order
+        if top is None:
+            if root.degree is None:
+                raise NonPolynomialRhs(
+                    "expression is not polynomial in the expanded symbols")
+            top = root.degree
+        out.append([_build(root[n]) for n in range(top + 1)])
+    return out
 
 
 def polynomial(coeffs: Sequence[Expr], point: Expr) -> Expr:

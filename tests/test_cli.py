@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -410,6 +413,41 @@ class TestVerify:
                            "--term-budget", "3")
         assert code == 2
         assert "resource limit" in err
+
+    def test_reciprocal_of_a_reciprocal_sum(self, tmp_path, capsys):
+        # normalize once gave 2/(1/(1+u)) as 2*(1 + c), which normalized
+        # again to 2 + 2*c, so the checks compared unequal forms of one
+        # series and all three failed.
+        doc = {"kind": "ode", "time": {"name": "t", "initial": "0"},
+               "fields": ["u"], "rhs": {"u": "1/(t + 2/(1+u))"}}
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path), "--order", "4")
+        assert code == 0
+        assert out.count("PASS") == 3
+        assert out.endswith("3/3 checks passed\n")
+
+    def test_output_is_independent_of_hash_seed(self):
+        # Symbol hashes, and with them the order of jets_of's sets and of
+        # series.compose's term dicts, change with PYTHONHASHSEED; the
+        # printed bytes must not.
+        argvs = [["verify", fx("lotka_volterra"), "--order", "6"],
+                 ["verify", fx("burgers"), "--order", "4"],
+                 ["verify", "--suite", "all", "--format", "json"]]
+        script = ("import sys\n"
+                  "from chronexp.cli import main\n"
+                  f"codes = [main(argv) for argv in {argvs!r}]\n"
+                  "print(codes)\n")
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=300, check=True)
+            outputs.append(proc.stdout)
+        assert outputs[0].endswith("[0, 0, 0]\n")
+        assert outputs[0] == outputs[1]
 
     def test_path_and_suite_conflict(self, capsys):
         code, _, err = run(capsys, "verify", fx("riccati"),

@@ -23,7 +23,10 @@ from chronexp import (
     build_generator,
     check_inverse_identity,
     chron_equiv_check,
+    cli,
+    dyson,
     lie_coefficients,
+    matrix_texp,
     normalize,
     parse_expression,
     parse_problem,
@@ -33,6 +36,7 @@ from chronexp import (
     taylor_coefficients,
     texp_self_convergence,
 )
+from chronexp.dyson import ConvergenceReport
 from chronexp.series import compose
 
 from conftest import load_fixture
@@ -106,7 +110,7 @@ class TestPicard:
         fields = {p.jet_symbol(i): rhs for i, rhs in enumerate(p.rhs)}
         it = picard_iterate(p, k)
         for i, c in enumerate(fields):
-            got = compose(Sym(c), {TIME: [a, ONE]}, k, fields)
+            got, = compose([Sym(c)], {TIME: [a, ONE]}, k, fields)
             assert got == taylor_coefficients(it[i], a, k)
 
     def test_rejects_pde(self, heat):
@@ -315,7 +319,42 @@ class TestInverseIdentity:
         assert report.passed
 
 
+def recomputed_convergence(sampler, dimension, start, end, step_sizes):
+    """texp_self_convergence with both products of every step size
+    computed afresh.
+    """
+    used, errors = [], []
+    for h in step_sizes:
+        steps = max(1, round((end - start) / h))
+        coarse = matrix_texp(MatrixPath(dimension, start, end, steps, sampler))
+        fine = matrix_texp(MatrixPath(dimension, start, end, 2 * steps,
+                                      sampler))
+        used.append((end - start) / steps)
+        errors.append(float(np.linalg.norm(coarse - fine, np.inf)))
+    slope = float(np.polyfit(np.log(used), np.log(errors), 1)[0])
+    return ConvergenceReport(tuple(used), tuple(errors), slope)
+
+
 class TestSelfConvergence:
+    def test_each_step_count_computed_once(self, monkeypatch):
+        # The fine grids of 1e-1, 2e-2, 1e-2 and 2e-3 are the coarse grids
+        # of 5e-2, 1e-2, 5e-3 and 1e-3: 10 distinct products, not 14.
+        steps = []
+
+        def counted(path):
+            steps.append(path.steps)
+            return matrix_texp(path)
+
+        monkeypatch.setattr(dyson, "matrix_texp", counted)
+        sampler = airy_path().sampler
+        report = texp_self_convergence(sampler, 2, 0.0, 1.0,
+                                       list(cli.CONVERGENCE_STEPS))
+        monkeypatch.undo()
+        assert len(steps) == 10
+        assert len(set(steps)) == 10
+        assert report == recomputed_convergence(
+            sampler, 2, 0.0, 1.0, list(cli.CONVERGENCE_STEPS))
+
     def test_midpoint_order_two(self):
         path = airy_path()
         report = texp_self_convergence(

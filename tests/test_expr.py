@@ -323,7 +323,7 @@ def coefficients_in(e, sym):
     """Exact coefficients of e as a polynomial in sym: the untruncated
     series of e with sym -> 0 + 1*w.
     """
-    return compose(N(e), {sym: [ZERO, ONE]}, None)
+    return compose([N(e)], {sym: [ZERO, ONE]}, None)[0]
 
 
 class TestCoefficientsIn:

@@ -1,5 +1,6 @@
 """Series construction by iterated derivation, and its internal checks."""
 
+import dataclasses
 import json
 import math
 import random
@@ -38,6 +39,7 @@ from chronexp import (
     taylor_coefficients,
     total_derivative,
 )
+from chronexp import lie
 from chronexp.lie import jet_derivatives
 from chronexp.series import polynomial
 
@@ -446,6 +448,46 @@ class TestFunctionSeries:
         with pytest.raises(ValueError):
             check_homomorphism(lie_coefficients(build_generator(riccati), 3),
                                G, 4)
+
+
+class TestSharedJetTables:
+    """residual_check and check_homomorphism read D_x^alpha C_{k,n} from
+    tables kept on the solution, so the second check derives none afresh.
+    """
+
+    def counted_checks(self, monkeypatch, first, second):
+        calls = []
+
+        def counted(e, space_index):
+            calls.append(space_index)
+            return total_derivative(e, space_index)
+
+        G = normalize(parse_expression("c*c_x", first.problem))
+        monkeypatch.setattr(lie, "total_derivative", counted)
+        assert residual_check(first).passed
+        assert check_homomorphism(second, G, 4).passed
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_second_check_reuses_tables(self, monkeypatch):
+        p = load_fixture("burgers")
+        sols = [lie_coefficients(build_generator(p), 4) for _ in range(3)]
+        shared = self.counted_checks(monkeypatch, sols[0], sols[0])
+        separate = self.counted_checks(monkeypatch, sols[1], sols[2])
+        assert shared < separate
+
+    def test_replaced_series_derives_its_own(self):
+        p = load_fixture("burgers")
+        sol = lie_coefficients(build_generator(p), 4)
+        G = normalize(parse_expression("c*c_x", p))
+        assert residual_check(sol).passed
+        assert check_homomorphism(sol, G, 4).passed
+        column = list(sol.coeffs[0])
+        column[3] = normalize(Add((column[3], const(1))))
+        broken = dataclasses.replace(sol, coeffs=(tuple(column),))
+        assert residual_check(broken).failing_order == 3
+        assert check_homomorphism(broken, G, 4).failing_order == 3
+        assert residual_check(sol).passed
 
 
 # ---------------------------------------------------------------------------

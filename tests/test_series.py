@@ -3,7 +3,9 @@
 On random trees over t, one jet and one parameter, the series coefficients
 must equal the reference d^n e/dt^n at t = a, divided by n!, computed here
 by repeated differentiation.  When the jet is mapped, the reference first
-substitutes the jet's polynomial in t - a into the tree.
+substitutes the jet's polynomial in t - a into the tree.  ``compose`` works
+in normalize's term form, so normalize must be idempotent on the same trees,
+and several roots expanded in one call must equal one call per root.
 """
 
 import math
@@ -27,6 +29,7 @@ from chronexp import (  # noqa: E402
     Pow,
     Sym,
     TIME,
+    catalog,
     diff,
     free_param,
     jet,
@@ -35,6 +38,8 @@ from chronexp import (  # noqa: E402
 )
 from chronexp.expr import ELEMENTARY  # noqa: E402
 from chronexp.series import compose  # noqa: E402
+
+from conftest import load_fixture  # noqa: E402
 
 C = jet(0, ())
 K = free_param("k")
@@ -89,7 +94,7 @@ def test_matches_repeated_differentiation(tree, point, jet_mapped):
     if jet_mapped:
         mapped[C] = list(JET_SERIES)
     try:
-        got = compose(e, mapped, ORDER)
+        got, = compose([e], mapped, ORDER)
     except DivisionByZero:
         # Taylor mode expands every subterm, so a subterm singular at a
         # numeric point ends it (sqrt(t) at 0 in (t*sqrt(t))^2) even where
@@ -98,3 +103,44 @@ def test_matches_repeated_differentiation(tree, point, jet_mapped):
         assert point != Sym(INITIAL_TIME)
         reject()
     assert got == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tree=trees)
+# Nested reciprocals: a sum atom whose negative exponent turns positive.
+@example(tree=Mul((Const(Fraction(2)),
+                   Pow(Pow(Add((ONE, Sym(C))), -1), -1))))
+@example(tree=Pow(Mul((Const(Fraction(3)), Pow(Add((ONE, Sym(C))), -2))),
+                  -1))
+def test_normalize_is_idempotent(tree):
+    try:
+        once = normalize(tree)
+    except DivisionByZero:
+        reject()
+    assert normalize(once) == once
+
+
+def test_reciprocal_of_a_reciprocal_sum_is_expanded():
+    once = normalize(Mul((Const(Fraction(2)),
+                          Pow(Pow(Add((ONE, Sym(C))), -1), -1))))
+    assert once == normalize(Add((Const(Fraction(2)),
+                                  Mul((Const(Fraction(2)), Sym(C))))))
+
+
+ODE_PROBLEMS = {entry.name: entry.problem for entry in catalog()
+                if entry.problem.kind in ("ode", "system")}
+ODE_PROBLEMS["pendulum"] = load_fixture("pendulum")
+
+
+@pytest.mark.parametrize("name", sorted(ODE_PROBLEMS))
+def test_roots_in_one_call_match_one_call_each(name):
+    # Every field's integral form u = c - int_a^t F dtau: one call over all
+    # fields shares the coupled system's nodes, and must change nothing.
+    problem = ODE_PROBLEMS[name]
+    fields = {problem.jet_symbol(i): rhs for i, rhs in enumerate(problem.rhs)}
+    mapped = {TIME: [problem.initial_time, ONE]}
+    roots = [Sym(c) for c in fields] + list(problem.rhs)
+    together = compose(roots, mapped, 6, fields)
+    assert together == [compose([root], mapped, 6, fields)[0]
+                        for root in roots]
