@@ -23,7 +23,6 @@ from .errors import (
     ValidationError,
 )
 from .expr import (
-    AUX,
     Add,
     Const,
     Expr,

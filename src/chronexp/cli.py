@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import (
@@ -127,7 +127,7 @@ def _coeff_parts(c: Expr) -> tuple[int, int, int, Expr | None]:
 def series_text(sol: SeriesSolution, index: int) -> str:
     """One-line rendering: u = c - (t)*c^2 + (t)^2*c^3 - ..."""
     p = sol.problem
-    dt = normalize(Add((Sym(TIME), Mul((MINUS_ONE, sol.expansion_point)))))
+    dt = normalize(Add((Sym(TIME), Mul((MINUS_ONE, p.initial_time)))))
     dt_text = f"({render(dt, p)})"
     pieces = [f"{p.field_names[index]} = "
               f"{render(sol.coeffs[index][0], p)}"]
@@ -242,7 +242,7 @@ def _parse_initial_exprs(text: str, problem: ProblemSpec) -> list[Expr]:
             "separated by ';'")
     exprs = []
     for part in parts:
-        e = normalize(parse_expression(part, problem))
+        e = parse_expression(part, problem)
         for symbol in symbols_of(e):
             if symbol.kind != SymbolKind.SPACE:
                 raise InputError(
@@ -416,7 +416,7 @@ def _verify_file(args) -> list[dict]:
         if shaped:
             # A catalog entry with the file's own rhs repeats the self-check.
             cross = (res if match.problem.rhs == problem.rhs
-                     else residual_check(sol, against=match.problem))
+                     else residual_check(replace(sol, problem=match.problem)))
             reports.append(_report(
                 f"defining equation [vs catalog {stem}]", cross.passed,
                 cross.summary()))

@@ -32,11 +32,10 @@ class SymbolKind(IntEnum):
     """Role of a symbol; the numeric value fixes the canonical sort order."""
 
     TIME = 0          # the evolution variable t
-    AUX = 1           # the auxiliary shift variable s
-    INITIAL_TIME = 2  # the symbolic expansion point a
-    SPACE = 3         # a space variable x_j
-    JET = 4           # initial-data value c_k or one of its space derivatives
-    PARAM = 5         # a named free parameter
+    INITIAL_TIME = 1  # the symbolic expansion point a
+    SPACE = 2         # a space variable x_j
+    JET = 3           # initial-data value c_k or one of its space derivatives
+    PARAM = 4         # a named free parameter
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,6 @@ class Symbol:
 
 
 TIME = Symbol(SymbolKind.TIME)
-AUX = Symbol(SymbolKind.AUX)
 INITIAL_TIME = Symbol(SymbolKind.INITIAL_TIME)
 
 
@@ -88,37 +86,28 @@ class Expr:
 
         return format_expr(self)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
 
 @dataclass(frozen=True, repr=False)
 class Const(Expr):
     value: Fraction
-
-    def __repr__(self) -> str:
-        return f"Const({self.value})"
 
 
 @dataclass(frozen=True, repr=False)
 class Sym(Expr):
     symbol: Symbol
 
-    def __repr__(self) -> str:
-        return f"Sym({self})"
-
 
 @dataclass(frozen=True, repr=False)
 class Add(Expr):
     terms: tuple[Expr, ...]
 
-    def __repr__(self) -> str:
-        return f"Add({self})"
-
 
 @dataclass(frozen=True, repr=False)
 class Mul(Expr):
     factors: tuple[Expr, ...]
-
-    def __repr__(self) -> str:
-        return f"Mul({self})"
 
 
 @dataclass(frozen=True, repr=False)
@@ -126,17 +115,11 @@ class Pow(Expr):
     base: Expr
     exponent: int
 
-    def __repr__(self) -> str:
-        return f"Pow({self})"
-
 
 @dataclass(frozen=True, repr=False)
 class Func(Expr):
     name: str
     arg: Expr
-
-    def __repr__(self) -> str:
-        return f"Func({self})"
 
 
 def const(value) -> Const:
@@ -353,7 +336,13 @@ def _terms(e: Expr) -> _Terms:
     if isinstance(e, Pow):
         if not isinstance(e.exponent, int):
             raise TypeError("Pow exponent must be an integer")
-        return _pow_terms(_terms(e.base), e.exponent)
+        # (b^k)^n is b^(k*n) for k > 0: expanding a positive power of a sum
+        # before a negative one would make the expansion, not the sum, the
+        # atom.  An inner negative power still rejects a zero base first.
+        base, n = e.base, e.exponent
+        while isinstance(base, Pow) and base.exponent > 0:
+            base, n = base.base, base.exponent * n
+        return _pow_terms(_terms(base), n)
     if isinstance(e, Func):
         arg = _build(_terms(e.arg))
         entry = ELEMENTARY.get(e.name)

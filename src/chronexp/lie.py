@@ -3,12 +3,12 @@
 For du_i/dt + F_i = 0 with u_i = c_i at t = a, the solution is generated by
 iterating the derivation
 
-    A[e] = sum_j sum_alpha D_x^alpha(F_j(s, x, jets)) * de/dJet(j, alpha)
-           - de/ds,
+    A[e] = sum_j sum_alpha D_x^alpha(F_j(t, x, jets)) * de/dJet(j, alpha)
+           - de/dt,
 
 on the seed c_i and reading off Taylor coefficients
 
-    C_{i,n} = (-1)^n / n! * (A^n[c_i]) with s replaced by a,
+    C_{i,n} = (-1)^n / n! * (A^n[c_i]) evaluated at t = a,
 
 so that u_i = sum_n C_{i,n} (t - a)^n.  For ODEs and systems the alpha-sum
 collapses to the bare initial-data symbols; for PDEs it is the evolutionary
@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 
 from .errors import ExpressionBlowup
 from .expr import (
-    AUX,
     ONE,
     Add,
     Const,
@@ -33,7 +32,6 @@ from .expr import (
     Mul,
     Sym,
     Symbol,
-    SymbolKind,
     TIME,
     ZERO,
     diff,
@@ -58,19 +56,16 @@ DEFAULT_TERM_BUDGET = 10 ** 6
 
 @dataclass(frozen=True)
 class Generator:
-    """The derivation A for one problem: right-hand sides with the time
-    symbol renamed to the auxiliary symbol, plus the -d/ds term.
-    ``derived_rhs(jet(k, alpha))`` is D_x^alpha of the k-th of them.
+    """The derivation A for one problem (see the module docstring):
+    ``derived_rhs(jet(k, alpha))`` is D_x^alpha F_k.
     """
 
     problem: ProblemSpec
-    substituted_rhs: tuple[Expr, ...]
     derived_rhs: Callable[[Symbol], Expr] = field(compare=False, repr=False)
 
 
 def build_generator(p: ProblemSpec) -> Generator:
-    substituted = tuple(subst(f, TIME, Sym(AUX)) for f in p.rhs)
-    return Generator(p, substituted, jet_derivatives(substituted))
+    return Generator(p, jet_derivatives(p.rhs))
 
 
 def jet_derivatives(bases: Sequence[Expr]) -> Callable[[Symbol], Expr]:
@@ -115,7 +110,7 @@ def apply_generator(g: Generator, e: Expr) -> Expr:
     """One application of the derivation A (see module docstring).  The
     jet-sum runs over exactly the jets occurring in ``e``.
     """
-    pieces = [Mul((Const(Fraction(-1)), diff(e, AUX)))]
+    pieces = [Mul((Const(Fraction(-1)), diff(e, TIME)))]
     for jsym in jets_of(e):
         rate = g.derived_rhs(jsym)
         pieces.append(Mul((rate, diff(e, jsym))))
@@ -133,20 +128,20 @@ class SeriesSolution:
     """
 
     problem: ProblemSpec
-    expansion_point: Expr
     order: int
     coeffs: tuple[tuple[Expr, ...], ...]
 
     def __post_init__(self):
-        forbidden = (SymbolKind.TIME, SymbolKind.AUX)
+        if len(self.coeffs) != self.problem.n_fields:
+            raise ValueError("one coefficient column per field is required")
         for i, column in enumerate(self.coeffs):
             if len(column) != self.order + 1:
                 raise ValueError("coefficient column length mismatch")
             if column[0] != Sym(self.problem.jet_symbol(i)):
                 raise ValueError("order-0 coefficient must be the initial datum")
             for c in column:
-                if any(s.kind in forbidden for s in symbols_of(c)):
-                    raise ValueError("coefficients must not contain t or s")
+                if TIME in symbols_of(c):
+                    raise ValueError("coefficients must not contain t")
 
     @cached_property
     def jet_tables(self) -> list[Callable[[Symbol], Expr]]:
@@ -159,7 +154,7 @@ class SeriesSolution:
 def apply_series_to_function(g: Generator, G: Expr, order: int,
                              term_budget: int = DEFAULT_TERM_BUDGET) -> list[Expr]:
     """Lie series seeded with an arbitrary jet expression G:
-    [(-1)^n/n! A^n[G] at s=a] for n = 0..order.  Seeding with a bare c_i
+    [(-1)^n/n! A^n[G] at t=a] for n = 0..order.  Seeding with a bare c_i
     gives the corresponding lie_coefficients column.
     """
     point = g.problem.initial_time
@@ -171,7 +166,7 @@ def apply_series_to_function(g: Generator, G: Expr, order: int,
             raise ExpressionBlowup(
                 f"series term at order {n} exceeds {term_budget} monomials")
         scaled = Mul((Const(sign / math.factorial(n)), current))
-        out.append(subst(scaled, AUX, point))
+        out.append(subst(scaled, TIME, point))
         if n < order:
             current = apply_generator(g, current)
             sign = -sign
@@ -186,12 +181,8 @@ def lie_coefficients(g: Generator, order: int,
         seed = Sym(g.problem.jet_symbol(i))
         columns.append(tuple(
             apply_series_to_function(g, seed, order, term_budget)))
-    return SeriesSolution(
-        problem=g.problem,
-        expansion_point=g.problem.initial_time,
-        order=order,
-        coeffs=tuple(columns),
-    )
+    return SeriesSolution(problem=g.problem, order=order,
+                          coeffs=tuple(columns))
 
 
 def eval_series(sol: SeriesSolution, t_values: Sequence[float],
@@ -204,7 +195,7 @@ def eval_series(sol: SeriesSolution, t_values: Sequence[float],
     each is evaluated once; Horner's rule then runs per time, highest
     order first.
     """
-    a_value = eval_num(sol.expansion_point, initial_data)
+    a_value = eval_num(sol.problem.initial_time, initial_data)
     columns = [[eval_num(coeff, initial_data) for coeff in reversed(column)]
                for column in sol.coeffs]
     rows = []
@@ -291,30 +282,23 @@ class ResidualReport:
                 f"order {self.failing_order}")
 
 
-def residual_check(sol: SeriesSolution,
-                   against: ProblemSpec | None = None) -> ResidualReport:
+def residual_check(sol: SeriesSolution) -> ResidualReport:
     """Verify the defining equation order by order.
 
     The residual d/dt(series) + F(t, x, series, jets-of-series) must have
-    exactly-zero coefficients of (t-a)^n for n < sol.order.  ``against``
-    substitutes a different problem's right-hand sides (same shape), which
-    is how an external fixture is cross-checked against a trusted form.
+    exactly-zero coefficients of (t-a)^n for n < sol.order.  A series is
+    checked against another problem of the same shape by replacing its
+    ``problem``.
     """
     problem = sol.problem
-    rhs_source = against if against is not None else problem
-    if (len(rhs_source.field_names) != problem.n_fields
-            or len(rhs_source.space_names) != len(problem.space_names)):
-        raise ValueError("problem shapes differ, residual is not comparable")
-
     jet_series = _jet_series(sol, sol.order)
-    mapped = {TIME: [sol.expansion_point, ONE]}
-    for rhs in rhs_source.rhs:
+    mapped = {TIME: [problem.initial_time, ONE]}
+    for rhs in problem.rhs:
         for jsym in jets_of(rhs):
             mapped[jsym] = jet_series(jsym)
     failing_order = None
     failing_field = None
-    for i, forcing in enumerate(compose(rhs_source.rhs, mapped,
-                                        sol.order - 1)):
+    for i, forcing in enumerate(compose(problem.rhs, mapped, sol.order - 1)):
         column = sol.coeffs[i]
         for n, f_n in enumerate(forcing):
             # coefficient n of du/dt + F(u): (n+1) U_{n+1} + [F(U)]_n

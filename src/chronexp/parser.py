@@ -46,12 +46,14 @@ from .expr import (
     Expr,
     Func,
     INITIAL_TIME,
+    MINUS_ONE,
     Mul,
     Pow,
     Sym,
     Symbol,
     SymbolKind,
     TIME,
+    ZERO,
     Add,
     jet,
     normalize,
@@ -195,30 +197,6 @@ def _tokenize(text: str) -> list[_Token]:
 # Recursive-descent parser
 # ---------------------------------------------------------------------------
 
-def _negate(e: Expr) -> Expr:
-    if isinstance(e, Const):
-        return Const(-e.value)
-    if isinstance(e, Mul) and e.factors and isinstance(e.factors[0], Const):
-        head = Const(-e.factors[0].value)
-        rest = e.factors[1:]
-        if head.value == 1 and rest:
-            return rest[0] if len(rest) == 1 else Mul(rest)
-        return Mul((head, *rest))
-    if isinstance(e, Mul):
-        return Mul((Const(Fraction(-1)), *e.factors))
-    return Mul((Const(Fraction(-1)), e))
-
-
-def _invert(e: Expr, span: SourceSpan) -> Expr:
-    if isinstance(e, Const):
-        if e.value == 0:
-            raise ParseError("division by zero", span)
-        return Const(1 / e.value)
-    if isinstance(e, Pow):
-        return Pow(e.base, -e.exponent)
-    return Pow(e, -1)
-
-
 class _Parser:
     def __init__(self, text: str, ctx: SymbolContext):
         self.text = text
@@ -256,38 +234,25 @@ class _Parser:
         while self.at_op("+", "-"):
             op = self.take().text
             t = self.term()
-            terms.append(_negate(t) if op == "-" else t)
+            terms.append(Mul((MINUS_ONE, t)) if op == "-" else t)
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def term(self) -> Expr:
-        factors: list[Expr] = []
-
-        def push(f: Expr) -> None:
-            # keep the tree flat and fold literal runs, so -t*c^2 becomes
-            # Mul(Const(-1), t, Pow(c, 2)) and 1/2*c becomes Mul(Const(1/2), c)
-            if isinstance(f, Mul):
-                for g in f.factors:
-                    push(g)
-            elif isinstance(f, Const) and factors and isinstance(factors[-1], Const):
-                factors[-1] = Const(factors[-1].value * f.value)
-            else:
-                factors.append(f)
-
-        push(self.unary())
+        factors = [self.unary()]
         while self.at_op("*", "/"):
             op = self.take()
             f = self.unary()
             if op.text == "/":
-                f = _invert(f, op.span)
-            push(f)
-        if len(factors) == 1:
-            return factors[0]
-        return Mul(tuple(factors))
+                if f == ZERO:
+                    raise ParseError("division by zero", op.span)
+                f = Pow(f, -1)
+            factors.append(f)
+        return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
     def unary(self) -> Expr:
         if self.at_op("-"):
             self.take()
-            return _negate(self.unary())
+            return Mul((MINUS_ONE, self.unary()))
         return self.power()
 
     def power(self) -> Expr:
@@ -303,10 +268,8 @@ class _Parser:
             raise ParseError("exponent must be an integer constant",
                              SourceSpan(start, end))
         n = int(folded.value)
-        if isinstance(base, Const):
-            if base.value == 0 and n < 0:
-                raise ParseError("zero raised to a negative power", caret.span)
-            return Const(base.value ** n)
+        if base == ZERO and n < 0:
+            raise ParseError("zero raised to a negative power", caret.span)
         return Pow(base, n)
 
     def atom(self) -> Expr:
@@ -362,13 +325,12 @@ class _Parser:
 
 def parse_expression(text: str, ctx: SymbolContext | "ProblemSpec") -> Expr:
     """Parse ``text`` against a symbol context (or a problem, whose context
-    is derived).  Returns the raw tree with literal constants folded; run
-    ``normalize`` for the canonical form.
+    is derived) into its canonical (normalized) tree.
     """
     if isinstance(ctx, ProblemSpec):
         ctx = ctx.context()
     try:
-        return _Parser(text, ctx).parse()
+        return normalize(_Parser(text, ctx).parse())
     except RecursionError:
         raise ParseError("expression is nested too deeply") from None
 
@@ -518,7 +480,7 @@ def parse_problem(doc: str) -> ProblemSpec:
         text = rhs_obj[fname]
         if not isinstance(text, str):
             raise SchemaError(f"rhs['{fname}'] must be a string")
-        parsed = normalize(parse_expression(text, ctx))
+        parsed = parse_expression(text, ctx)
         for symbol in symbols_of(parsed):
             if symbol.kind == SymbolKind.INITIAL_TIME:
                 raise ValidationError(

@@ -98,7 +98,8 @@ class CatalogEntry:
     """A named Cauchy problem with its trusted reference solution.
 
     exact_kind selects how reference values are produced:
-      closed_form      exact per-field expressions over t, a, space, jets
+      closed_form      exact canonical per-field expressions over t, a,
+                       space, jets
       rk4              numeric only, fine RK4 integration
       characteristics  per-point fixed-point solve along characteristics
     """
@@ -127,11 +128,11 @@ class CatalogEntry:
 def _entry_defining_residual(entry: CatalogEntry) -> None:
     """Substitute the exact solution into du/dt + F = 0; exact-zero check."""
     p = entry.problem
-    exact_jet = jet_derivatives([normalize(e) for e in entry.exact])
+    exact_jet = jet_derivatives(entry.exact)
     for i in range(p.n_fields):
         replacement = {jsym: exact_jet(jsym) for jsym in jets_of(p.rhs[i])}
         residual = normalize(Add((
-            diff(normalize(entry.exact[i]), TIME),
+            diff(entry.exact[i], TIME),
             subst_many(p.rhs[i], replacement))))
         if residual != ZERO:
             raise RuntimeError(
@@ -146,7 +147,7 @@ def _problem(doc: dict) -> ProblemSpec:
 
 
 def _exact(problem: ProblemSpec, text: str) -> Expr:
-    return normalize(parse_expression(text, problem.context()))
+    return parse_expression(text, problem.context())
 
 
 _CATALOG: list[CatalogEntry] | None = None

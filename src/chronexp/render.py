@@ -1,8 +1,11 @@
 """Plain-text rendering of expressions.
 
 Output uses the same surface grammar the parser accepts, so for a canonical
-expression ``e`` the round trip ``parse(format_expr(e))`` normalizes back to
-``e``.  Symbol spelling is pluggable through a ``namer`` callable; problem
+expression ``e`` the round trip ``parse(format_expr(e))`` gives back ``e``,
+provided no jet in ``e`` has a derivative order above the parser's cap
+(``parser.MAX_JET_ORDER``, 8, unless the context raises it): ``solve
+kdv.json --order 3`` prints ``c_xxxxxxxxx``, which the default context
+rejects.  Symbol spelling is pluggable through a ``namer`` callable; problem
 documents supply namers that use either initial-data names (``c``, ``c_xx``)
 or field names (``u``, ``u_xx``).
 """
@@ -48,8 +51,6 @@ def spell_symbol(symbol: Symbol, time: str = "t", initial: str = "a",
         return space[j] if j < len(space) else f"x{j}"
     if kind == SymbolKind.TIME:
         return time
-    if kind == SymbolKind.AUX:
-        return "s"
     if kind == SymbolKind.INITIAL_TIME:
         return initial
     if kind == SymbolKind.PARAM:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import NonPolynomialRhs
+from .errors import NonPolynomialRhs, UnsupportedFunction
 from .expr import (
     ELEMENTARY,
     MINUS_ONE,
@@ -160,9 +160,12 @@ def compose(roots: Sequence[Expr], mapped: Mapping[Symbol, Sequence[Expr]],
                 lower = unit if abs(k) == 2 else series_of(Pow(base, k - sign))
                 _cauchy(s, lower, unit)
         elif isinstance(node, Func):
+            entry = ELEMENTARY.get(node.name)
+            if entry is None:
+                raise UnsupportedFunction(f"no series rule for '{node.name}'")
             u = series_of(node.arg)
             s.degree = 0 if u.degree == 0 else None
-            df = series_of(ELEMENTARY[node.name].derivative(node.arg))
+            df = series_of(entry.derivative(node.arg))
 
             def step(n: int) -> _Terms:
                 if n == 0:

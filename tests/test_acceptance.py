@@ -4,6 +4,7 @@ Each test prints exactly one PASS/FAIL line outside pytest's capture so
 the outcome is visible in piped runs, then asserts.
 """
 
+import dataclasses
 import math
 import time
 
@@ -168,7 +169,8 @@ def test_criterion_8_negative_control(capsys):
     corrupt = FIXTURES / "corrupt" / "riccati.json"
     flipped = parse_problem(corrupt.read_text())
     sol = lie_coefficients(build_generator(flipped), 6)
-    cross = residual_check(sol, against=catalog_entry("riccati").problem)
+    cross = residual_check(dataclasses.replace(
+        sol, problem=catalog_entry("riccati").problem))
     residual_ok = (not cross.passed) and cross.failing_order == 1
 
     exit_code = main(["verify", str(corrupt)])

@@ -244,19 +244,17 @@ class TestDiff:
 
 class TestSubst:
     def test_basic(self):
-        from chronexp import AUX, INITIAL_TIME
-        e = Mul((Pow(Sym(AUX), 2), Sym(C)))
-        assert subst(e, AUX, Sym(INITIAL_TIME)) == \
+        from chronexp import INITIAL_TIME
+        e = Mul((Pow(Sym(T), 2), Sym(C)))
+        assert subst(e, T, Sym(INITIAL_TIME)) == \
             N(Mul((Pow(Sym(INITIAL_TIME), 2), Sym(C))))
 
     def test_zero_case(self):
-        from chronexp import AUX
-        e = Add((Sym(C), Mul((MINUS_ONE, Sym(AUX), Pow(Sym(C), 2)))))
-        assert subst(e, AUX, ZERO) == Sym(C)
+        e = Add((Sym(C), Mul((MINUS_ONE, Sym(T), Pow(Sym(C), 2)))))
+        assert subst(e, T, ZERO) == Sym(C)
 
     def test_function_at_constant_folds(self):
-        from chronexp import AUX
-        assert subst(Func("exp", Sym(AUX)), AUX, ZERO) == ONE
+        assert subst(Func("exp", Sym(T)), T, ZERO) == ONE
 
     def test_simultaneous_swap(self):
         u, v = jet(0, ()), jet(1, ())
@@ -362,9 +360,9 @@ def test_rational_arithmetic_is_exact():
 
 
 def test_symbol_ordering_is_stable_across_kinds():
-    from chronexp import AUX, INITIAL_TIME, space_var
+    from chronexp import INITIAL_TIME, space_var
     e = Mul((Sym(X), Sym(jet(0, (0,))), Sym(space_var(0)),
-             Sym(INITIAL_TIME), Sym(AUX), Sym(T)))
+             Sym(INITIAL_TIME), Sym(T)))
     factors = N(e).factors
     kinds = [f.symbol.kind for f in factors]
     assert kinds == sorted(kinds)

@@ -123,3 +123,31 @@ def test_no_module_imports_a_name_it_never_uses():
                 if name not in used:
                     unused.append((path.name, name))
     assert not unused
+
+
+def test_every_private_module_name_is_read():
+    # A deletion that leaves its helper behind shows up here: every private
+    # module-level name must be read somewhere in the package.
+    defined = []
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 0
+    assert [(module, name) for module, name in defined
+            if name not in read] == []

@@ -7,8 +7,6 @@ from fractions import Fraction
 import pytest
 
 from chronexp import (
-    Add,
-    Const,
     Mul,
     ParseError,
     Pow,
@@ -58,11 +56,23 @@ class TestGrammar:
         got = parse_expression("u*u_x", self.pde)
         assert got == Mul((Sym(jet(0, (0,))), Sym(jet(0, (1,)))))
 
-    def test_raw_tree_shape(self):
-        got = parse_expression("t*u - 1/2", self.ode)
-        want = Add((Mul((Sym(TIME), Sym(jet(0, ())))),
-                    const(Fraction(-1, 2))))
-        assert got == want
+    def test_parse_is_normalize_of_the_raw_tree(self):
+        # The text of a raw, unnormalized tree parses to its canonical form.
+        p = load_fixture("burgers")
+        ctx = p.context()
+        symbols = [TIME, jet(0, (0,)), jet(0, (1,)), jet(0, (2,))]
+        rng = random.Random(59)
+        for _ in range(200):
+            e = random_expr(rng, symbols)
+            text = render(e, p)
+            assert parse_expression(text, ctx) == normalize(e), text
+
+    def test_spellings_of_a_reciprocal_power_agree(self):
+        # normalize reads (b^k)^n as b^(k*n), so dividing by a power of a
+        # sum keeps the sum, not its expansion, as the atom.
+        want = parse_expression("u*(1 + u)^(-2)", self.ode)
+        assert parse_expression("u/(1 + u)^2", self.ode) == want
+        assert parse_expression("u*((1 + u)^2)^(-1)", self.ode) == want
 
     def test_literal_fractions_fold(self):
         assert parse_expression("1/2", self.ode) == const(Fraction(1, 2))

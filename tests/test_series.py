@@ -29,6 +29,7 @@ from chronexp import (  # noqa: E402
     Pow,
     Sym,
     TIME,
+    UnsupportedFunction,
     catalog,
     diff,
     free_param,
@@ -144,3 +145,9 @@ def test_roots_in_one_call_match_one_call_each(name):
     together = compose(roots, mapped, 6, fields)
     assert together == [compose([root], mapped, 6, fields)[0]
                         for root in roots]
+
+
+def test_function_without_a_rule_is_unsupported():
+    # diff and eval_num reject a name outside expr.ELEMENTARY the same way.
+    with pytest.raises(UnsupportedFunction):
+        compose([Func("tanh", Sym(TIME))], {TIME: [POINTS[0], ONE]}, ORDER)
