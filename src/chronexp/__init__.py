@@ -33,7 +33,6 @@ from .expr import (
     ONE,
     Pow,
     Sym,
-    Symbol,
     SymbolKind,
     TIME,
     ZERO,

@@ -4,8 +4,8 @@
     chronexp eval PROBLEM.json --ic ... --t ... [--x ...] [--order N]
     chronexp verify [PROBLEM.json] [--suite catalog|dyson|homomorphism|all]
 
-Exit codes: 0 success, 1 bad input (usage, schema, parse, bindings),
-2 resource exhaustion (series term budget), 3 verification failure.
+Exit codes: 0 success, 1 bad input (usage, schema, parse, bindings), 2
+resource exhaustion (term budget, unprintable number), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .expr import (
     Expr,
     MINUS_ONE,
     Mul,
-    Sym,
     SymbolKind,
     TIME,
     ZERO,
@@ -127,7 +126,7 @@ def _coeff_parts(c: Expr) -> tuple[int, int, int, Expr | None]:
 def series_text(sol: SeriesSolution, index: int) -> str:
     """One-line rendering: u = c - (t)*c^2 + (t)^2*c^3 - ..."""
     p = sol.problem
-    dt = normalize(Add((Sym(TIME), Mul((MINUS_ONE, p.initial_time)))))
+    dt = normalize(Add((TIME, Mul((MINUS_ONE, p.initial_time)))))
     dt_text = f"({render(dt, p)})"
     pieces = [f"{p.field_names[index]} = "
               f"{render(sol.coeffs[index][0], p)}"]
@@ -138,10 +137,10 @@ def series_text(sol: SeriesSolution, index: int) -> str:
         sign, numer, denom, rest = _coeff_parts(coeff)
         text = dt_text if n == 1 else f"{dt_text}^{n}"
         if denom > 1:
-            text += f"/{denom}"
+            text += f"/{_format_const(denom)}"
         tail = []
         if numer > 1:
-            tail.append(str(numer))
+            tail.append(_format_const(numer))
         if rest is not None:
             rendered = render(rest, p)
             tail.append(f"({rendered})" if isinstance(rest, Add) else rendered)
@@ -247,7 +246,7 @@ def _parse_initial_exprs(text: str, problem: ProblemSpec) -> list[Expr]:
             if symbol.kind != SymbolKind.SPACE:
                 raise InputError(
                     "initial expressions may use only space variables, "
-                    f"found '{render(Sym(symbol), problem)}'")
+                    f"found '{render(symbol, problem)}'")
         exprs.append(e)
     return exprs
 
@@ -356,10 +355,10 @@ def _verify_dyson(seed: int) -> list[dict]:
 
 def _product_test_function(p: ProblemSpec) -> Expr:
     """G = c*c_x for a pde (x the first space variable), c^2 otherwise."""
-    c0 = Sym(p.jet_symbol(0))
+    c0 = p.jet_symbol(0)
     if p.kind == "pde":
         first = tuple(1 if j == 0 else 0 for j in range(len(p.space_names)))
-        return normalize(Mul((c0, Sym(p.jet_symbol(0, first)))))
+        return normalize(Mul((c0, p.jet_symbol(0, first))))
     return normalize(Mul((c0, c0)))
 
 
@@ -372,7 +371,7 @@ def _homomorphism_cases(entry: CatalogEntry) -> list[tuple[str, Expr]]:
         return [(render(G, p), G)]
     alias = p.initial_alias(0)
     return [(f"{alias}^2", G),
-            (f"{alias}^3", normalize(Mul((G, Sym(p.jet_symbol(0))))))]
+            (f"{alias}^3", normalize(Mul((G, p.jet_symbol(0)))))]
 
 
 def _verify_homomorphism(solved: list[tuple[CatalogEntry, SeriesSolution]],

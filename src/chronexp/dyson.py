@@ -28,7 +28,6 @@ from .expr import (
     Expr,
     Fraction,
     Mul,
-    Sym,
     SymbolKind,
     TIME,
     normalize,
@@ -74,13 +73,12 @@ def picard_iterate(p: ProblemSpec, k: int) -> tuple[Expr, ...]:
     quadratic rhs), so the rhs must be polynomial in time and fields.
     """
     _require_ode(p)
-    seeds = [Sym(p.jet_symbol(i)) for i in range(p.n_fields)]
+    seeds = [p.jet_symbol(i) for i in range(p.n_fields)]
     columns: list[list[Expr]] = [[seed] for seed in seeds]
     for _ in range(k):
         # F_i(tau, u(tau)) in powers of w = tau - a, then one integration
         mapped = {TIME: [p.initial_time, ONE]}
-        mapped.update((seed.symbol, column)
-                      for seed, column in zip(seeds, columns))
+        mapped.update(zip(seeds, columns))
         columns = [[seed] + [normalize(Mul((Const(Fraction(-1, m + 1)), cm)))
                              for m, cm in enumerate(forcing)]
                    for seed, forcing in zip(seeds, compose(p.rhs, mapped,
@@ -125,7 +123,7 @@ def chron_equiv_check(sol: SeriesSolution,
     _require_ode(p)
     fields = {p.jet_symbol(i): rhs for i, rhs in enumerate(p.rhs)}
     mapped = {TIME: [p.initial_time, ONE]}
-    picard = compose([Sym(c) for c in fields], mapped, order, fields)
+    picard = compose(list(fields), mapped, order, fields)
     _check_budget(picard, term_budget)
     rows = []
     failing_field = None

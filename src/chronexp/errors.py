@@ -38,7 +38,7 @@ class DivisionByZero(ChronexpError):
 
 
 class UnsupportedFunction(ChronexpError):
-    """A function name has no registered derivative or evaluation rule."""
+    """A function name is not in the elementary-function table."""
 
 
 class UnboundSymbol(ChronexpError):
@@ -50,7 +50,7 @@ class DomainError(ChronexpError):
 
 
 class ExpressionBlowup(ChronexpError):
-    """A symbolic computation exceeded its term-count budget."""
+    """A result exceeded its term-count budget or is too long to print."""
 
 
 class NonPolynomialRhs(ChronexpError):

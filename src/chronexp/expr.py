@@ -1,10 +1,12 @@
 """Immutable symbolic expression kernel.
 
-Expressions are trees over exact rational constants, typed symbols, and a
-small fixed set of elementary functions.  ``normalize`` rewrites a tree into
-a canonical expanded sum-of-monomials form, so that semantically equal
-polynomial (and simple rational) expressions become *identical* trees and
-equality checks reduce to ``==``.  Floats enter only through ``eval_num``.
+Expressions are trees over exact rational constants, typed symbols (``Sym``
+leaves, which also key substitutions and numeric bindings), and a small
+fixed set of elementary functions (``Func``, whose name must be a key of
+``ELEMENTARY``).  ``normalize`` rewrites a tree into a canonical expanded
+sum-of-monomials form, so that semantically equal polynomial (and simple
+rational) expressions become *identical* trees and equality checks reduce to
+``==``.  Floats enter only through ``eval_num``.
 """
 
 from __future__ import annotations
@@ -38,38 +40,6 @@ class SymbolKind(IntEnum):
     PARAM = 4         # a named free parameter
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """A typed symbol.  ``index`` is the space index or the field index of a
-    jet; ``orders`` is the jet multi-index (one entry per declared space
-    variable, empty for ODE problems); ``name`` is set for free parameters.
-    """
-
-    kind: SymbolKind
-    index: int = 0
-    orders: tuple[int, ...] = ()
-    name: str = ""
-
-    def sort_key(self) -> tuple:
-        return (int(self.kind), self.index, self.orders, self.name)
-
-
-TIME = Symbol(SymbolKind.TIME)
-INITIAL_TIME = Symbol(SymbolKind.INITIAL_TIME)
-
-
-def space_var(index: int) -> Symbol:
-    return Symbol(SymbolKind.SPACE, index=index)
-
-
-def jet(field: int, orders: tuple[int, ...] = ()) -> Symbol:
-    return Symbol(SymbolKind.JET, index=field, orders=tuple(orders))
-
-
-def free_param(name: str) -> Symbol:
-    return Symbol(SymbolKind.PARAM, name=name)
-
-
 # ---------------------------------------------------------------------------
 # Expression nodes
 # ---------------------------------------------------------------------------
@@ -97,7 +67,15 @@ class Const(Expr):
 
 @dataclass(frozen=True, repr=False)
 class Sym(Expr):
-    symbol: Symbol
+    """A typed symbol.  ``index`` is the space index or the field index of a
+    jet; ``orders`` is the jet multi-index (one entry per declared space
+    variable, empty for ODE problems); ``name`` is set for free parameters.
+    """
+
+    kind: SymbolKind
+    index: int = 0
+    orders: tuple[int, ...] = ()
+    name: str = ""
 
 
 @dataclass(frozen=True, repr=False)
@@ -121,9 +99,29 @@ class Func(Expr):
     name: str
     arg: Expr
 
+    def __post_init__(self):
+        if self.name not in ELEMENTARY:
+            raise UnsupportedFunction(f"unknown function '{self.name}'")
+
 
 def const(value) -> Const:
     return Const(Fraction(value))
+
+
+TIME = Sym(SymbolKind.TIME)
+INITIAL_TIME = Sym(SymbolKind.INITIAL_TIME)
+
+
+def space_var(index: int) -> Sym:
+    return Sym(SymbolKind.SPACE, index=index)
+
+
+def jet(field: int, orders: tuple[int, ...] = ()) -> Sym:
+    return Sym(SymbolKind.JET, index=field, orders=tuple(orders))
+
+
+def free_param(name: str) -> Sym:
+    return Sym(SymbolKind.PARAM, name=name)
 
 
 ZERO = Const(Fraction(0))
@@ -197,7 +195,7 @@ def sort_key(e: Expr) -> tuple:
     if isinstance(e, Const):
         return (0, (e.value.numerator, e.value.denominator))
     if isinstance(e, Sym):
-        return (1, e.symbol.sort_key())
+        return (1, (int(e.kind), e.index, e.orders, e.name))
     if isinstance(e, Func):
         return (2, e.name, sort_key(e.arg))
     if isinstance(e, Pow):
@@ -345,9 +343,8 @@ def _terms(e: Expr) -> _Terms:
         return _pow_terms(_terms(base), n)
     if isinstance(e, Func):
         arg = _build(_terms(e.arg))
-        entry = ELEMENTARY.get(e.name)
-        if isinstance(arg, Const) and entry is not None:
-            folded = entry.fold(arg.value)
+        if isinstance(arg, Const):
+            folded = ELEMENTARY[e.name].fold(arg.value)
             if folded is not None:
                 if folded == 0:
                     return {}
@@ -388,11 +385,11 @@ def term_count(e: Expr) -> int:
 # Differentiation
 # ---------------------------------------------------------------------------
 
-def _diff(e: Expr, sym: Symbol) -> Expr:
+def _diff(e: Expr, sym: Sym) -> Expr:
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Sym):
-        return ONE if e.symbol == sym else ZERO
+        return ONE if e == sym else ZERO
     if isinstance(e, Add):
         return Add(tuple(_diff(t, sym) for t in e.terms))
     if isinstance(e, Mul):
@@ -405,14 +402,11 @@ def _diff(e: Expr, sym: Symbol) -> Expr:
         return Mul((Const(Fraction(e.exponent)), Pow(e.base, e.exponent - 1),
                     _diff(e.base, sym)))
     if isinstance(e, Func):
-        entry = ELEMENTARY.get(e.name)
-        if entry is None:
-            raise UnsupportedFunction(f"no derivative rule for '{e.name}'")
-        return Mul((entry.derivative(e.arg), _diff(e.arg, sym)))
+        return Mul((ELEMENTARY[e.name].derivative(e.arg), _diff(e.arg, sym)))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def diff(e: Expr, sym: Symbol) -> Expr:
+def diff(e: Expr, sym: Sym) -> Expr:
     """Partial derivative treating every symbol as an independent coordinate
     (jet variables of distinct multi-indices are independent).
     """
@@ -423,11 +417,11 @@ def diff(e: Expr, sym: Symbol) -> Expr:
 # Substitution
 # ---------------------------------------------------------------------------
 
-def _subst(e: Expr, mapping: Mapping[Symbol, Expr]) -> Expr:
+def _subst(e: Expr, mapping: Mapping[Sym, Expr]) -> Expr:
     if isinstance(e, Const):
         return e
     if isinstance(e, Sym):
-        return mapping.get(e.symbol, e)
+        return mapping.get(e, e)
     if isinstance(e, Add):
         return Add(tuple(_subst(t, mapping) for t in e.terms))
     if isinstance(e, Mul):
@@ -439,14 +433,14 @@ def _subst(e: Expr, mapping: Mapping[Symbol, Expr]) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def subst(e: Expr, sym: Symbol, value: Expr) -> Expr:
+def subst(e: Expr, sym: Sym, value: Expr) -> Expr:
     """Replace every occurrence of ``sym`` by ``value``, then normalize.
     The replacement is not rescanned, so self-referential values are safe.
     """
     return normalize(_subst(e, {sym: value}))
 
 
-def subst_many(e: Expr, mapping: Mapping[Symbol, Expr]) -> Expr:
+def subst_many(e: Expr, mapping: Mapping[Sym, Expr]) -> Expr:
     """Simultaneous substitution of several symbols, then normalize."""
     return normalize(_subst(e, mapping))
 
@@ -455,17 +449,23 @@ def subst_many(e: Expr, mapping: Mapping[Symbol, Expr]) -> Expr:
 # Numeric evaluation
 # ---------------------------------------------------------------------------
 
-def eval_num(e: Expr, bindings: Mapping[Symbol, float]) -> float:
+def eval_num(e: Expr, bindings: Mapping[Sym, float]) -> float:
     """IEEE-double evaluation; every symbol in ``e`` must be bound."""
     if isinstance(e, Const):
-        return float(e.value)
+        try:
+            return float(e.value)
+        except OverflowError:
+            raise NonFiniteValue("a constant overflows a double") from None
     if isinstance(e, Sym):
         try:
-            return float(bindings[e.symbol])
+            return float(bindings[e])
         except KeyError:
             raise UnboundSymbol(f"no binding for {e}") from None
     if isinstance(e, Add):
-        return math.fsum(eval_num(t, bindings) for t in e.terms)
+        try:
+            return math.fsum([eval_num(t, bindings) for t in e.terms])
+        except (OverflowError, ValueError):  # a partial sum or inf - inf
+            raise NonFiniteValue("a sum overflows a double") from None
     if isinstance(e, Mul):
         out = 1.0
         for f in e.factors:
@@ -481,11 +481,8 @@ def eval_num(e: Expr, bindings: Mapping[Symbol, float]) -> float:
             raise NonFiniteValue(f"{base}^{e.exponent} overflows") from None
     if isinstance(e, Func):
         x = eval_num(e.arg, bindings)
-        entry = ELEMENTARY.get(e.name)
-        if entry is None:
-            raise UnsupportedFunction(f"no numeric rule for '{e.name}'")
         try:
-            return entry.numeric(x)
+            return ELEMENTARY[e.name].numeric(x)
         except (OverflowError, ValueError):
             raise NonFiniteValue(f"{e.name}({x}) is not finite") from None
     raise TypeError(f"not an expression node: {e!r}")
@@ -495,13 +492,13 @@ def eval_num(e: Expr, bindings: Mapping[Symbol, float]) -> float:
 # Structural queries
 # ---------------------------------------------------------------------------
 
-def symbols_of(e: Expr) -> set[Symbol]:
-    out: set[Symbol] = set()
+def symbols_of(e: Expr) -> set[Sym]:
+    out: set[Sym] = set()
     stack = [e]
     while stack:
         node = stack.pop()
         if isinstance(node, Sym):
-            out.add(node.symbol)
+            out.add(node)
         elif isinstance(node, Add):
             stack.extend(node.terms)
         elif isinstance(node, Mul):
@@ -513,6 +510,6 @@ def symbols_of(e: Expr) -> set[Symbol]:
     return out
 
 
-def jets_of(e: Expr) -> set[Symbol]:
+def jets_of(e: Expr) -> set[Sym]:
     return {s for s in symbols_of(e) if s.kind == SymbolKind.JET}
 

@@ -31,7 +31,6 @@ from .expr import (
     Fraction,
     Mul,
     Sym,
-    Symbol,
     TIME,
     ZERO,
     diff,
@@ -61,23 +60,23 @@ class Generator:
     """
 
     problem: ProblemSpec
-    derived_rhs: Callable[[Symbol], Expr] = field(compare=False, repr=False)
+    derived_rhs: Callable[[Sym], Expr] = field(compare=False, repr=False)
 
 
 def build_generator(p: ProblemSpec) -> Generator:
     return Generator(p, jet_derivatives(p.rhs))
 
 
-def jet_derivatives(bases: Sequence[Expr]) -> Callable[[Symbol], Expr]:
+def jet_derivatives(bases: Sequence[Expr]) -> Callable[[Sym], Expr]:
     """Memoized D_x^alpha bases[k] for the jet symbol (k, alpha).
 
     The bases must be canonical.  The first nonzero order of alpha is
     lowered one step at a time with total_derivative, so every intermediate
     derivative is computed once and shared.
     """
-    cache: dict[Symbol, Expr] = {}
+    cache: dict[Sym, Expr] = {}
 
-    def derive(jsym: Symbol) -> Expr:
+    def derive(jsym: Sym) -> Expr:
         hit = cache.get(jsym)
         if hit is None:
             orders = jsym.orders
@@ -102,7 +101,7 @@ def total_derivative(e: Expr, space_index: int) -> Expr:
     for jsym in jets_of(e):
         bumped = tuple(
             k + 1 if i == space_index else k for i, k in enumerate(jsym.orders))
-        pieces.append(Mul((Sym(jet(jsym.index, bumped)), diff(e, jsym))))
+        pieces.append(Mul((jet(jsym.index, bumped), diff(e, jsym))))
     return normalize(Add(tuple(pieces)))
 
 
@@ -137,14 +136,14 @@ class SeriesSolution:
         for i, column in enumerate(self.coeffs):
             if len(column) != self.order + 1:
                 raise ValueError("coefficient column length mismatch")
-            if column[0] != Sym(self.problem.jet_symbol(i)):
+            if column[0] != self.problem.jet_symbol(i):
                 raise ValueError("order-0 coefficient must be the initial datum")
             for c in column:
                 if TIME in symbols_of(c):
                     raise ValueError("coefficients must not contain t")
 
     @cached_property
-    def jet_tables(self) -> list[Callable[[Symbol], Expr]]:
+    def jet_tables(self) -> list[Callable[[Sym], Expr]]:
         """Memoized D_x^alpha C_{k,n} per order n, shared by every check of
         this series; ``_jet_series`` extends it as far as a check needs.
         """
@@ -178,7 +177,7 @@ def lie_coefficients(g: Generator, order: int,
     """Truncated Lie-series solution for every field of g's problem."""
     columns = []
     for i in range(g.problem.n_fields):
-        seed = Sym(g.problem.jet_symbol(i))
+        seed = g.problem.jet_symbol(i)
         columns.append(tuple(
             apply_series_to_function(g, seed, order, term_budget)))
     return SeriesSolution(problem=g.problem, order=order,
@@ -186,7 +185,7 @@ def lie_coefficients(g: Generator, order: int,
 
 
 def eval_series(sol: SeriesSolution, t_values: Sequence[float],
-                initial_data: dict[Symbol, float]) -> list[list[float]]:
+                initial_data: dict[Sym, float]) -> list[list[float]]:
     """Every field's series at each time in t_values, one row per time.
 
     initial_data must bind every jet symbol occurring in the coefficients
@@ -213,7 +212,7 @@ def eval_series(sol: SeriesSolution, t_values: Sequence[float],
 
 def initial_jet_bindings(sol: SeriesSolution, initial_exprs: list[Expr],
                          points: Sequence[Sequence[float]]
-                         ) -> list[dict[Symbol, float]]:
+                         ) -> list[dict[Sym, float]]:
     """Bindings for eval_series from closed-form initial data, one per point.
 
     initial_exprs[k] is the initial function of field k in the space
@@ -221,7 +220,7 @@ def initial_jet_bindings(sol: SeriesSolution, initial_exprs: list[Expr],
     once and evaluated at each point's space values.
     """
     problem = sol.problem
-    needed: set[Symbol] = set()
+    needed: set[Sym] = set()
     for column in sol.coeffs:
         for coeff in column:
             needed |= jets_of(coeff)
@@ -250,7 +249,7 @@ def taylor_coefficients(e: Expr, point: Expr, order: int) -> list[Expr]:
 
 
 def _jet_series(sol: SeriesSolution,
-                count: int) -> Callable[[Symbol], list[Expr]]:
+                count: int) -> Callable[[Sym], list[Expr]]:
     """The first ``count`` series coefficients of every jet of the solution.
 
     D_x^alpha acts on the series coefficient by coefficient, so coefficient

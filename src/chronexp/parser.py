@@ -50,7 +50,6 @@ from .expr import (
     Mul,
     Pow,
     Sym,
-    Symbol,
     SymbolKind,
     TIME,
     ZERO,
@@ -88,7 +87,7 @@ class SourceSpan:
 class SymbolContext:
     """Name resolution tables for one problem's expressions."""
 
-    names: Mapping[str, Symbol]        # simple identifiers
+    names: Mapping[str, Sym]           # simple identifiers
     field_bases: Mapping[str, int]     # names that accept a jet suffix
     space_indices: Mapping[str, int]   # single-letter space variables
     max_jet_order: int = MAX_JET_ORDER
@@ -110,12 +109,12 @@ def build_context(
     colliding names.  Every field gets an initial-data alias next to its
     declared name, so both spellings of a jet parse to the same symbol.
     """
-    names: dict[str, Symbol] = {}
+    names: dict[str, Sym] = {}
     field_bases: dict[str, int] = {}
     space_indices: dict[str, int] = {}
     zeros = (0,) * len(space_names)
 
-    def declare(name: str, symbol: Symbol, what: str) -> None:
+    def declare(name: str, symbol: Sym, what: str) -> None:
         if not _NAME_RE.match(name):
             raise ValidationError(f"invalid {what} name '{name}'")
         if name in ELEMENTARY:
@@ -125,7 +124,7 @@ def build_context(
             raise ValidationError(f"{what} name '{name}' collides with another symbol")
         names[name] = symbol
 
-    declare(time_name, Sym(TIME).symbol, "time")
+    declare(time_name, TIME, "time")
     if initial_name is not None:
         declare(initial_name, INITIAL_TIME, "initial-time")
     for j, sname in enumerate(space_names):
@@ -281,7 +280,11 @@ class _Parser:
             return inner
         if tok.kind == "num":
             self.take()
-            return Const(Fraction(tok.text))
+            try:
+                return Const(Fraction(tok.text))
+            except ValueError:  # past the int/str conversion limit (3.11+)
+                raise ParseError("number literal has too many digits",
+                                 tok.span) from None
         if tok.kind == "name":
             self.take()
             if tok.text in ELEMENTARY:
@@ -289,12 +292,12 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Func(tok.text, arg)
-            return Sym(self.classify(tok))
+            return self.classify(tok)
         raise ParseError(f"expected an expression, found {tok.text!r}"
                          if tok.kind != "end" else "unexpected end of input",
                          tok.span)
 
-    def classify(self, tok: _Token) -> Symbol:
+    def classify(self, tok: _Token) -> Sym:
         name = tok.text
         base, _, suffix = name.partition("_")
         if not suffix:
@@ -345,7 +348,7 @@ class ProblemSpec:
 
     kind: str                        # "ode" | "system" | "pde"
     time_name: str
-    initial_time: Expr               # Const, or Sym of the symbolic point
+    initial_time: Expr               # Const, or the symbol INITIAL_TIME
     initial_name: str | None
     space_names: tuple[str, ...]
     field_names: tuple[str, ...]
@@ -361,7 +364,7 @@ class ProblemSpec:
     def zero_orders(self) -> tuple[int, ...]:
         return (0,) * len(self.space_names)
 
-    def jet_symbol(self, index: int, orders: tuple[int, ...] | None = None) -> Symbol:
+    def jet_symbol(self, index: int, orders: tuple[int, ...] | None = None) -> Sym:
         return jet(index, self.zero_orders if orders is None else orders)
 
     def initial_alias(self, index: int) -> str:
@@ -406,6 +409,8 @@ def parse_problem(doc: str) -> ProblemSpec:
         data = json.loads(doc)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"document is not valid JSON: {exc}") from None
+    except ValueError:  # past the int/str conversion limit (3.11+)
+        raise SchemaError("document integer has too many digits") from None
     except RecursionError:
         raise SchemaError("document is nested too deeply") from None
     if not isinstance(data, dict):
@@ -439,7 +444,7 @@ def parse_problem(doc: str) -> ProblemSpec:
                 f"initial time '{initial_text}' is neither a rational "
                 "number nor an identifier") from None
         initial_name = initial_text
-        initial_time = Sym(INITIAL_TIME)
+        initial_time = INITIAL_TIME
 
     space_names = _string_list(data, "space", "document")
     if "fields" not in data:

@@ -16,7 +16,7 @@ from .expr import (
     Add,
     Expr,
     INITIAL_TIME,
-    Symbol,
+    Sym,
     TIME,
     ZERO,
     diff,
@@ -64,7 +64,7 @@ def rk4_solve(p: ProblemSpec, initial: list[float], t_end: float,
     jets = [p.jet_symbol(k) for k in range(n)]
 
     def deriv(t: float, u: list[float]) -> list[float]:
-        bind: dict[Symbol, float] = {TIME: t}
+        bind: dict[Sym, float] = {TIME: t}
         for k in range(n):
             bind[jets[k]] = u[k]
         return [-eval_num(f, bind) for f in p.rhs]
@@ -80,7 +80,7 @@ def rk4_solve(p: ProblemSpec, initial: list[float], t_end: float,
             k4 = deriv(t + h, [u[i] + h * k3[i] for i in range(n)])
             u = [u[i] + h / 6 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
                  for i in range(n)]
-        except OverflowError:
+        except NonFiniteValue:
             raise NonFiniteValue(
                 f"integration blew up near t = {t:.6g}") from None
         t += h
@@ -113,8 +113,8 @@ class CatalogEntry:
     validity: str
 
     def exact_bindings(self, t: float, a_value: float,
-                       space_values: list[float]) -> dict[Symbol, float]:
-        bind: dict[Symbol, float] = {TIME: t}
+                       space_values: list[float]) -> dict[Sym, float]:
+        bind: dict[Sym, float] = {TIME: t}
         if self.problem.initial_name is not None:
             bind[INITIAL_TIME] = a_value
         for j, x in enumerate(space_values):

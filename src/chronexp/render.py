@@ -5,9 +5,9 @@ expression ``e`` the round trip ``parse(format_expr(e))`` gives back ``e``,
 provided no jet in ``e`` has a derivative order above the parser's cap
 (``parser.MAX_JET_ORDER``, 8, unless the context raises it): ``solve
 kdv.json --order 3`` prints ``c_xxxxxxxxx``, which the default context
-rejects.  Symbol spelling is pluggable through a ``namer`` callable; problem
-documents supply namers that use either initial-data names (``c``, ``c_xx``)
-or field names (``u``, ``u_xx``).
+rejects.  Symbol spelling is pluggable through a ``namer`` callable, which
+takes a ``Sym`` leaf; problem documents supply namers that use either
+initial-data names (``c``, ``c_xx``) or field names (``u``, ``u_xx``).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .errors import ExpressionBlowup
 from .expr import (
     Add,
     Const,
@@ -23,7 +24,6 @@ from .expr import (
     Mul,
     Pow,
     Sym,
-    Symbol,
     SymbolKind,
     space_var,
 )
@@ -31,7 +31,7 @@ from .expr import (
 SPACE_LETTERS = ("x", "y", "z")
 
 
-def spell_symbol(symbol: Symbol, time: str = "t", initial: str = "a",
+def spell_symbol(symbol: Sym, time: str = "t", initial: str = "a",
                  space: Sequence[str] = SPACE_LETTERS,
                  jet_bases: Sequence[str] = ("c",)) -> str:
     """Spell ``symbol`` from name tables: ``space[j]`` names space variable
@@ -55,16 +55,19 @@ def spell_symbol(symbol: Symbol, time: str = "t", initial: str = "a",
         return initial
     if kind == SymbolKind.PARAM:
         return symbol.name
-    raise ValueError(f"unnamable symbol {symbol!r}")
+    raise ValueError(f"unnamable symbol kind {kind!r}")
 
 
-def _format_const(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _format_const(value: Fraction | int) -> str:
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past the int/str conversion limit (3.11+)
+        raise ExpressionBlowup("a number is too long to print") from None
 
 
-def format_expr(e: Expr, namer: Callable[[Symbol], str] = spell_symbol) -> str:
+def format_expr(e: Expr, namer: Callable[[Sym], str] = spell_symbol) -> str:
     """Render ``e``; parenthesization follows operator precedence."""
 
     def atom(node: Expr) -> str:
@@ -107,13 +110,14 @@ def format_expr(e: Expr, namer: Callable[[Symbol], str] = spell_symbol) -> str:
         if isinstance(node, Const):
             return _format_const(node.value)
         if isinstance(node, Sym):
-            return namer(node.symbol)
+            return namer(node)
         if isinstance(node, Func):
             return f"{node.name}({walk(node.arg)})"
         if isinstance(node, Pow):
+            exponent = _format_const(node.exponent)
             if node.exponent >= 0:
-                return f"{atom(node.base)}^{node.exponent}"
-            return f"{atom(node.base)}^({node.exponent})"
+                return f"{atom(node.base)}^{exponent}"
+            return f"{atom(node.base)}^({exponent})"
         if isinstance(node, Mul):
             if not node.factors:
                 return "1"

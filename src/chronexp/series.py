@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import NonPolynomialRhs, UnsupportedFunction
+from .errors import NonPolynomialRhs
 from .expr import (
     ELEMENTARY,
     MINUS_ONE,
@@ -39,7 +39,6 @@ from .expr import (
     Mul,
     Pow,
     Sym,
-    Symbol,
     TIME,
     _Terms,
     _add_terms,
@@ -104,9 +103,9 @@ def _reciprocal(out: _Series, v: _Series) -> None:
     out.step = step
 
 
-def compose(roots: Sequence[Expr], mapped: Mapping[Symbol, Sequence[Expr]],
+def compose(roots: Sequence[Expr], mapped: Mapping[Sym, Sequence[Expr]],
             order: int | None,
-            integrals: Mapping[Symbol, Expr] = {}) -> list[list[Expr]]:
+            integrals: Mapping[Sym, Expr] = {}) -> list[list[Expr]]:
     """Coefficients [y_0, ..., y_order] in w of each canonical tree in
     ``roots`` once each symbol of ``mapped`` is replaced by the series
     sum_n c_n w^n of its coefficient list, and each symbol c of
@@ -129,12 +128,13 @@ def compose(roots: Sequence[Expr], mapped: Mapping[Symbol, Sequence[Expr]],
         return s
 
     def define(s: _Series, node: Expr) -> None:
-        if isinstance(node, Sym) and node.symbol in mapped:
-            coeffs = mapped[node.symbol]
+        # isinstance first: ``in`` would hash a composite node once more.
+        if isinstance(node, Sym) and node in mapped:
+            coeffs = mapped[node]
             s.degree = len(coeffs) - 1
             s.step = lambda n: _terms(coeffs[n])
-        elif isinstance(node, Sym) and node.symbol in integrals:
-            f = series_of(integrals[node.symbol])
+        elif isinstance(node, Sym) and node in integrals:
+            f = series_of(integrals[node])
             s.step = lambda n: _terms(node) if n == 0 else _scaled(
                 Fraction(-1, n), f[n - 1])
         elif isinstance(node, (Const, Sym)):
@@ -160,12 +160,9 @@ def compose(roots: Sequence[Expr], mapped: Mapping[Symbol, Sequence[Expr]],
                 lower = unit if abs(k) == 2 else series_of(Pow(base, k - sign))
                 _cauchy(s, lower, unit)
         elif isinstance(node, Func):
-            entry = ELEMENTARY.get(node.name)
-            if entry is None:
-                raise UnsupportedFunction(f"no series rule for '{node.name}'")
             u = series_of(node.arg)
             s.degree = 0 if u.degree == 0 else None
-            df = series_of(entry.derivative(node.arg))
+            df = series_of(ELEMENTARY[node.name].derivative(node.arg))
 
             def step(n: int) -> _Terms:
                 if n == 0:
@@ -192,6 +189,6 @@ def compose(roots: Sequence[Expr], mapped: Mapping[Symbol, Sequence[Expr]],
 
 def polynomial(coeffs: Sequence[Expr], point: Expr) -> Expr:
     """sum_n coeffs[n] (t - point)^n as a canonical expression in t."""
-    tau = Add((Sym(TIME), Mul((MINUS_ONE, point))))
+    tau = Add((TIME, Mul((MINUS_ONE, point))))
     return normalize(Add(tuple(Mul((c, Pow(tau, n)))
                                for n, c in enumerate(coeffs))))

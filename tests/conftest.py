@@ -12,7 +12,6 @@ from chronexp import (
     Func,
     Mul,
     Pow,
-    Sym,
     build_generator,
     eval_num,
     lie_coefficients,
@@ -55,7 +54,7 @@ def random_expr(rng: random.Random, symbols, depth: int = 3) -> Expr:
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
             return Const(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
-        return Sym(rng.choice(symbols))
+        return rng.choice(symbols)
     pick = rng.random()
     if pick < 0.35:
         n = rng.randint(2, 3)

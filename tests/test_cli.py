@@ -122,6 +122,21 @@ class TestSolve:
         assert code == 2
         assert "resource limit" in err
 
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="no int/str conversion limit before 3.11")
+    @pytest.mark.parametrize("rhs", ["10^5000*u", "u^(10^5000)"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_number_too_long_to_print(self, tmp_path, capsys, rhs, fmt):
+        doc = {"kind": "ode", "time": {"name": "t", "initial": "0"},
+               "fields": ["u"], "rhs": {"u": rhs}, "order": 1}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", str(path), "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == ("chronexp: resource limit: a number is too long to "
+                       "print\n")
+
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_term_budget_below_one(self, capsys, budget):
         code, _, err = run(capsys, "solve", fx("riccati"),
@@ -259,6 +274,24 @@ class TestEval:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert needle in err
+
+    @pytest.mark.parametrize("rhs,ic", [
+        ({"u": "10^400*u"}, "c=1"),
+        ({"u": "u + v", "v": "0"}, "c1=1e308,c2=1e308"),
+        ({"u": "u*v - u*w", "v": "0", "w": "0"},
+         "c1=1e200,c2=1e200,c3=1e200"),
+    ], ids=["constant", "sum-overflow", "inf-minus-inf"])
+    def test_values_past_the_double_range(self, tmp_path, capsys, rhs, ic):
+        doc = {"kind": "ode" if len(rhs) == 1 else "system",
+               "time": {"name": "t", "initial": "0"},
+               "fields": list(rhs), "rhs": rhs, "order": 1}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", str(path), "--order", "1",
+                             "--ic", ic, "--t", "0.1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("chronexp: error:") and err.count("\n") == 1
 
     def test_initial_expression_rejects_parameters(self, tmp_path, capsys):
         # nothing can bind a pde's parameter, so it may not appear in --ic

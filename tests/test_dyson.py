@@ -17,7 +17,6 @@ from chronexp import (
     MatrixPath,
     NonPolynomialRhs,
     ONE,
-    Sym,
     TIME,
     airy_path,
     build_generator,
@@ -110,7 +109,7 @@ class TestPicard:
         fields = {p.jet_symbol(i): rhs for i, rhs in enumerate(p.rhs)}
         it = picard_iterate(p, k)
         for i, c in enumerate(fields):
-            got, = compose([Sym(c)], {TIME: [a, ONE]}, k, fields)
+            got, = compose([c], {TIME: [a, ONE]}, k, fields)
             assert got == taylor_coefficients(it[i], a, k)
 
     def test_rejects_pde(self, heat):

@@ -17,7 +17,6 @@ from chronexp import (
     NonPolynomialRhs,
     ONE,
     Pow,
-    Sym,
     TIME,
     UnboundSymbol,
     UnsupportedFunction,
@@ -53,16 +52,16 @@ def N(e):
 
 class TestNormalize:
     def test_additive_identity(self):
-        assert N(Add((Sym(X), ZERO))) == Sym(X)
+        assert N(Add((X, ZERO))) == X
 
     def test_constant_folding_through_sum(self):
-        e = Mul((const(2), Add((Sym(C), Sym(C)))))
-        assert N(e) == N(Mul((const(4), Sym(C))))
+        e = Mul((const(2), Add((C, C))))
+        assert N(e) == N(Mul((const(4), C)))
 
     def test_commutative_merge(self):
         cx = jet(0, (1,))
-        left = Add((Mul((Sym(C), Sym(cx))), Mul((Sym(cx), Sym(C)))))
-        assert N(left) == N(Mul((const(2), Sym(C), Sym(cx))))
+        left = Add((Mul((C, cx)), Mul((cx, C))))
+        assert N(left) == N(Mul((const(2), C, cx)))
 
     def test_idempotent(self):
         rng = random.Random(7)
@@ -85,16 +84,16 @@ class TestNormalize:
         assert kept > 150
 
     def test_difference_of_equal_polynomials_is_zero(self):
-        lhs = Pow(Add((Sym(T), ONE)), 2)
-        rhs = Add((Pow(Sym(T), 2), Mul((const(2), Sym(T))), ONE))
+        lhs = Pow(Add((T, ONE)), 2)
+        rhs = Add((Pow(T, 2), Mul((const(2), T)), ONE))
         assert N(Add((lhs, Mul((MINUS_ONE, rhs))))) == ZERO
 
     def test_pow_merges_with_base(self):
-        assert N(Mul((Sym(T), Sym(T)))) == Pow(Sym(T), 2)
-        assert N(Mul((Sym(T), Pow(Sym(T), -1)))) == ONE
+        assert N(Mul((T, T))) == Pow(T, 2)
+        assert N(Mul((T, Pow(T, -1)))) == ONE
 
     def test_zero_exponent(self):
-        assert N(Pow(Add((Sym(T), ONE)), 0)) == ONE
+        assert N(Pow(Add((T, ONE)), 0)) == ONE
 
     def test_no_nested_sums_or_products(self):
         rng = random.Random(3)
@@ -116,26 +115,26 @@ class TestNormalize:
                     stack.append(node.arg)
 
     def test_deterministic_child_order(self):
-        a = N(Add((Sym(X), Sym(T), Sym(C))))
-        b = N(Add((Sym(C), Sym(X), Sym(T))))
+        a = N(Add((X, T, C)))
+        b = N(Add((C, X, T)))
         assert a == b
 
     def test_rational_content_extracted_from_inverted_sums(self):
-        two_c_plus_two = Add((Mul((const(2), Sym(C))), const(2)))
-        c_plus_one = Add((Sym(C), ONE))
+        two_c_plus_two = Add((Mul((const(2), C)), const(2)))
+        c_plus_one = Add((C, ONE))
         lhs = N(Pow(two_c_plus_two, -2))
         rhs = N(Mul((const(Fraction(1, 4)), Pow(c_plus_one, -2))))
         assert lhs == rhs
 
     def test_sign_canonical_in_inverted_sums(self):
-        minus = Add((Mul((MINUS_ONE, Sym(C))), MINUS_ONE))
-        plus = Add((Sym(C), ONE))
+        minus = Add((Mul((MINUS_ONE, C)), MINUS_ONE))
+        plus = Add((C, ONE))
         lhs = N(Pow(minus, -1))
         rhs = N(Mul((MINUS_ONE, Pow(plus, -1))))
         assert lhs == rhs
 
     def test_expand_positive_powers_of_sums(self):
-        e = N(Pow(Add((Sym(C), Sym(T))), 3))
+        e = N(Pow(Add((C, T)), 3))
         assert isinstance(e, Add)
         assert term_count(e) == 4
 
@@ -143,11 +142,11 @@ class TestNormalize:
         with pytest.raises(DivisionByZero):
             N(Pow(ZERO, -1))
         with pytest.raises(DivisionByZero):
-            N(Pow(Add((Sym(T), Mul((MINUS_ONE, Sym(T))))), -2))
+            N(Pow(Add((T, Mul((MINUS_ONE, T)))), -2))
 
     def test_function_argument_canonicalized(self):
-        a = N(Func("sin", Add((Sym(T), Sym(C)))))
-        b = N(Func("sin", Add((Sym(C), Sym(T)))))
+        a = N(Func("sin", Add((T, C))))
+        b = N(Func("sin", Add((C, T))))
         assert a == b
 
     def test_function_folding_at_special_points(self):
@@ -169,15 +168,15 @@ class TestNormalize:
 
 class TestDiff:
     def test_power_rule(self):
-        assert diff(Pow(Sym(C), 2), C) == N(Mul((const(2), Sym(C))))
+        assert diff(Pow(C, 2), C) == N(Mul((const(2), C)))
 
     def test_bilinear_factor(self):
-        assert diff(Mul((Sym(TIME), Sym(C))), TIME) == Sym(C)
+        assert diff(Mul((TIME, C)), TIME) == C
 
     def test_jet_coordinates_independent(self):
         cx = jet(0, (1,))
-        assert diff(Mul((Sym(C), Sym(cx))), cx) == Sym(C)
-        assert diff(Sym(C), cx) == ZERO
+        assert diff(Mul((C, cx)), cx) == C
+        assert diff(C, cx) == ZERO
 
     def test_linearity(self):
         rng = random.Random(23)
@@ -198,8 +197,8 @@ class TestDiff:
             assert lhs == rhs
 
     def test_chain_rule(self):
-        e = Func("sin", Pow(Sym(T), 2))
-        expect = N(Mul((const(2), Sym(T), Func("cos", Pow(Sym(T), 2)))))
+        e = Func("sin", Pow(T, 2))
+        expect = N(Mul((const(2), T, Func("cos", Pow(T, 2)))))
         assert diff(e, T) == expect
 
     def test_against_finite_differences(self):
@@ -227,15 +226,19 @@ class TestDiff:
         assert checked > 150
 
     def test_sqrt_and_ln_rules(self):
-        assert diff(Func("ln", Sym(X)), X) == N(Pow(Sym(X), -1))
-        d = diff(Func("sqrt", Sym(X)), X)
+        assert diff(Func("ln", X), X) == N(Pow(X, -1))
+        d = diff(Func("sqrt", X), X)
         bind = {X: 2.3}
         assert math.isclose(eval_num(d, bind), 0.5 / math.sqrt(2.3),
                             rel_tol=1e-12)
 
     def test_unregistered_function(self):
         with pytest.raises(UnsupportedFunction):
-            diff(Func("tanh", Sym(X)), X)
+            diff(Func("tanh", X), X)
+
+    def test_function_name_is_checked_on_construction(self):
+        with pytest.raises(UnsupportedFunction):
+            Func("tanh", X)
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +248,22 @@ class TestDiff:
 class TestSubst:
     def test_basic(self):
         from chronexp import INITIAL_TIME
-        e = Mul((Pow(Sym(T), 2), Sym(C)))
-        assert subst(e, T, Sym(INITIAL_TIME)) == \
-            N(Mul((Pow(Sym(INITIAL_TIME), 2), Sym(C))))
+        e = Mul((Pow(T, 2), C))
+        assert subst(e, T, INITIAL_TIME) == \
+            N(Mul((Pow(INITIAL_TIME, 2), C)))
 
     def test_zero_case(self):
-        e = Add((Sym(C), Mul((MINUS_ONE, Sym(T), Pow(Sym(C), 2)))))
-        assert subst(e, T, ZERO) == Sym(C)
+        e = Add((C, Mul((MINUS_ONE, T, Pow(C, 2)))))
+        assert subst(e, T, ZERO) == C
 
     def test_function_at_constant_folds(self):
-        assert subst(Func("exp", Sym(T)), T, ZERO) == ONE
+        assert subst(Func("exp", T), T, ZERO) == ONE
 
     def test_simultaneous_swap(self):
         u, v = jet(0, ()), jet(1, ())
-        e = Add((Sym(u), Mul((const(2), Sym(v)))))
-        swapped = subst_many(e, {u: Sym(v), v: Sym(u)})
-        assert swapped == N(Add((Sym(v), Mul((const(2), Sym(u))))))
+        e = Add((u, Mul((const(2), v))))
+        swapped = subst_many(e, {u: v, v: u})
+        assert swapped == N(Add((v, Mul((const(2), u)))))
 
     def test_composition_consistency_with_eval(self):
         rng = random.Random(37)
@@ -289,28 +292,28 @@ class TestSubst:
 
 class TestEvalNum:
     def test_square(self):
-        assert eval_num(Pow(Sym(C), 2), {C: 3.0}) == 9.0
+        assert eval_num(Pow(C, 2), {C: 3.0}) == 9.0
 
     def test_sin_at_zero(self):
-        assert eval_num(Func("sin", Sym(T)), {T: 0.0}) == 0.0
+        assert eval_num(Func("sin", T), {T: 0.0}) == 0.0
 
     def test_jet_polynomial(self):
         cx, cxx = jet(0, (1,)), jet(0, (2,))
-        e = Add((Mul((const(2), Sym(C), Pow(Sym(cx), 2))),
-                 Mul((Pow(Sym(C), 2), Sym(cxx)))))
+        e = Add((Mul((const(2), C, Pow(cx, 2))),
+                 Mul((Pow(C, 2), cxx))))
         assert eval_num(e, {C: 1.0, cx: 2.0, cxx: -1.0}) == 7.0
 
     def test_unbound_symbol(self):
         with pytest.raises(UnboundSymbol):
-            eval_num(Sym(C), {T: 1.0})
+            eval_num(C, {T: 1.0})
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            eval_num(Func("ln", Sym(X)), {X: -1.0})
+            eval_num(Func("ln", X), {X: -1.0})
         with pytest.raises(DomainError):
-            eval_num(Func("sqrt", Sym(X)), {X: -4.0})
+            eval_num(Func("sqrt", X), {X: -4.0})
         with pytest.raises(DomainError):
-            eval_num(Pow(Sym(X), -2), {X: 0.0})
+            eval_num(Pow(X, -2), {X: 0.0})
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +329,25 @@ def coefficients_in(e, sym):
 
 class TestCoefficientsIn:
     def test_quadratic(self):
-        e = N(Add((Pow(Sym(T), 2), Mul((const(3), Sym(T), Sym(C))), ONE)))
+        e = N(Add((Pow(T, 2), Mul((const(3), T, C)), ONE)))
         coeffs = coefficients_in(e, T)
-        assert coeffs == [ONE, N(Mul((const(3), Sym(C)))), ONE]
+        assert coeffs == [ONE, N(Mul((const(3), C))), ONE]
 
     def test_constant(self):
-        assert coefficients_in(Sym(C), T) == [Sym(C)]
+        assert coefficients_in(C, T) == [C]
 
     def test_rejects_function_of_variable(self):
         with pytest.raises(NonPolynomialRhs):
-            coefficients_in(Func("sin", Sym(T)), T)
+            coefficients_in(Func("sin", T), T)
 
     def test_rejects_negative_powers(self):
         with pytest.raises(NonPolynomialRhs):
-            coefficients_in(N(Pow(Sym(T), -1)), T)
+            coefficients_in(N(Pow(T, -1)), T)
 
     def test_function_of_other_symbol_is_a_coefficient(self):
-        e = N(Mul((Sym(T), Func("sin", Sym(X)))))
+        e = N(Mul((T, Func("sin", X))))
         coeffs = coefficients_in(e, T)
-        assert coeffs == [ZERO, N(Func("sin", Sym(X)))]
+        assert coeffs == [ZERO, N(Func("sin", X))]
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +364,7 @@ def test_rational_arithmetic_is_exact():
 
 def test_symbol_ordering_is_stable_across_kinds():
     from chronexp import INITIAL_TIME, space_var
-    e = Mul((Sym(X), Sym(jet(0, (0,))), Sym(space_var(0)),
-             Sym(INITIAL_TIME), Sym(T)))
+    e = Mul((X, jet(0, (0,)), space_var(0), INITIAL_TIME, T))
     factors = N(e).factors
-    kinds = [f.symbol.kind for f in factors]
+    kinds = [f.kind for f in factors]
     assert kinds == sorted(kinds)

@@ -14,7 +14,6 @@ from chronexp import (
     ExpressionBlowup,
     Mul,
     Pow,
-    Sym,
     TIME,
     UnboundSymbol,
     apply_generator,
@@ -61,22 +60,22 @@ class TestGenerator:
     def test_single_application(self):
         p = load_fixture("riccati")
         g = build_generator(p)
-        c = Sym(jet(0, ()))
+        c = jet(0, ())
         assert apply_generator(g, c) == normalize(Pow(c, 2))
 
     def test_explicit_time_dependence(self):
         p = load_fixture("riccati")
         g = build_generator(p)
-        c = Sym(jet(0, ()))
-        e = normalize(Mul((Sym(TIME), c)))
-        want = normalize(Add((Mul((Sym(TIME), Pow(c, 2))),
+        c = jet(0, ())
+        e = normalize(Mul((TIME, c)))
+        want = normalize(Add((Mul((TIME, Pow(c, 2))),
                               Mul((const(-1), c)))))
         assert apply_generator(g, e) == want
 
     def test_burgers_second_application(self):
         p = load_fixture("burgers")
         g = build_generator(p)
-        once = apply_generator(g, Sym(jet(0, (0,))))
+        once = apply_generator(g, jet(0, (0,)))
         assert once == normalize(parse_expression("c*c_x", p))
         twice = apply_generator(g, once)
         assert twice == normalize(
@@ -98,7 +97,7 @@ class TestGenerator:
     def test_ode_generators_stay_in_zero_order_jets(self):
         p = load_fixture("lotka_volterra")
         g = build_generator(p)
-        e = Sym(jet(0, ()))
+        e = jet(0, ())
         for _ in range(4):
             e = apply_generator(g, e)
             assert all(s.orders == () for s in jets_of(e))
@@ -106,7 +105,7 @@ class TestGenerator:
     def test_pde_prolongation_order_growth(self):
         p = load_fixture("heat")
         g = build_generator(p)
-        e = Sym(jet(0, (0,)))
+        e = jet(0, (0,))
         for n in range(1, 5):
             e = apply_generator(g, e)
             assert max(sum(s.orders) for s in jets_of(e)) == 2 * n
@@ -126,15 +125,15 @@ class TestTotalDerivative:
     def test_explicit_space_dependence(self):
         x = space_var(0)
         c = jet(0, (0,))
-        e = normalize(Mul((Sym(x), Sym(c))))
-        want = normalize(Add((Sym(c), Mul((Sym(x), Sym(jet(0, (1,))))))))
+        e = normalize(Mul((x, c)))
+        want = normalize(Add((c, Mul((x, jet(0, (1,)))))))
         assert total_derivative(e, 0) == want
 
     def test_chain_through_functions(self):
         x = space_var(0)
         from chronexp import Func
-        assert total_derivative(normalize(Func("sin", Sym(x))), 0) == \
-            normalize(Func("cos", Sym(x)))
+        assert total_derivative(normalize(Func("sin", x)), 0) == \
+            normalize(Func("cos", x))
 
     def test_against_finite_differences(self):
         # Bind jets to derivatives of sin at x; D_x then equals d/dx of
@@ -205,7 +204,7 @@ class TestLieCoefficients:
         p = load_fixture(name)
         sol = lie_coefficients(build_generator(p), 2)
         for i in range(p.n_fields):
-            assert sol.coeffs[i][0] == Sym(p.jet_symbol(i))
+            assert sol.coeffs[i][0] == p.jet_symbol(i)
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_coefficients_free_of_time_symbols(self, name):
@@ -389,7 +388,7 @@ class TestFunctionSeries:
 
     def test_seed_identity_reproduces_solution(self, riccati):
         g = build_generator(riccati)
-        c = Sym(jet(0, ()))
+        c = jet(0, ())
         assert apply_series_to_function(g, c, 5) == \
             list(lie_coefficients(g, 5).coeffs[0])
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from chronexp import (
     ProblemSpec,
     SchemaError,
     MixedDerivativeOrderTooHigh,
-    Sym,
     TIME,
     INITIAL_TIME,
     UnknownIdentifier,
@@ -50,11 +50,11 @@ class TestGrammar:
             kind="pde", space=["x"], rhs={"u": "-u_xx"}))
 
     def test_field_square(self):
-        assert parse_expression("u^2", self.ode) == Pow(Sym(jet(0, ())), 2)
+        assert parse_expression("u^2", self.ode) == Pow(jet(0, ()), 2)
 
     def test_jet_product(self):
         got = parse_expression("u*u_x", self.pde)
-        assert got == Mul((Sym(jet(0, (0,))), Sym(jet(0, (1,)))))
+        assert got == Mul((jet(0, (0,)), jet(0, (1,))))
 
     def test_parse_is_normalize_of_the_raw_tree(self):
         # The text of a raw, unnormalized tree parses to its canonical form.
@@ -80,11 +80,11 @@ class TestGrammar:
 
     def test_power_binds_tighter_than_product(self):
         got = parse_expression("2*u^2", self.ode)
-        assert got == Mul((const(2), Pow(Sym(jet(0, ())), 2)))
+        assert got == Mul((const(2), Pow(jet(0, ()), 2)))
 
     def test_unary_minus_binds_looser_than_power(self):
         got = normalize(parse_expression("-u^2", self.ode))
-        u = Sym(jet(0, ()))
+        u = jet(0, ())
         assert got == normalize(Mul((const(-1), Pow(u, 2))))
 
     def test_power_is_right_associative(self):
@@ -111,15 +111,15 @@ class TestGrammar:
             kind="pde", space=["x", "y"], rhs={"u": "u_x + u_y"}))
         assert parse_expression("u_xy", pde2) == \
             parse_expression("u_yx", pde2)
-        assert parse_expression("u_xy", pde2) == Sym(jet(0, (1, 1)))
+        assert parse_expression("u_xy", pde2) == jet(0, (1, 1))
 
     def test_initial_style_aliases_parse(self):
-        assert parse_expression("c", self.ode) == Sym(jet(0, ()))
+        assert parse_expression("c", self.ode) == jet(0, ())
         sys2 = parse_problem(make_doc(
             kind="system", fields=["u", "v"], rhs={"u": "-v", "v": "u"}))
-        assert parse_expression("c1", sys2) == Sym(jet(0, ()))
-        assert parse_expression("c2", sys2) == Sym(jet(1, ()))
-        assert parse_expression("c_xx", self.pde) == Sym(jet(0, (2,)))
+        assert parse_expression("c1", sys2) == jet(0, ())
+        assert parse_expression("c2", sys2) == jet(1, ())
+        assert parse_expression("c_xx", self.pde) == jet(0, (2,))
 
     def test_whitespace_insensitive(self):
         a = parse_expression("u^2+ t *u", self.ode)
@@ -153,6 +153,14 @@ class TestGrammarErrors:
     def test_unknown_function(self):
         with pytest.raises(UnknownIdentifier):
             parse_expression("tanh(u)", self.ode)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="no int/str conversion limit before 3.11")
+    def test_number_past_the_digit_limit(self):
+        text = "u + " + "1" * 4400
+        with pytest.raises(ParseError) as err:
+            parse_expression(text, self.ode)
+        assert (err.value.span.start, err.value.span.end) == (4, len(text))
 
     def test_derivative_order_cap(self):
         with pytest.raises(MixedDerivativeOrderTooHigh):
@@ -189,7 +197,7 @@ class TestGrammarErrors:
 class TestContext:
     def test_field_named_like_its_own_alias_is_coherent(self):
         p = parse_problem(make_doc(fields=["c"], rhs={"c": "c^2"}))
-        assert parse_expression("c", p) == Sym(jet(0, ()))
+        assert parse_expression("c", p) == jet(0, ())
 
     def test_alias_collision_with_parameter(self):
         with pytest.raises(ValidationError):
@@ -231,12 +239,12 @@ class TestParseProblem:
         assert p.time_name == "t"
         assert p.initial_time == const(0)
         assert p.field_names == ("u",)
-        assert p.rhs[0] == Pow(Sym(jet(0, ())), 2)
+        assert p.rhs[0] == Pow(jet(0, ()), 2)
         assert p.order == 6
 
     def test_symbolic_initial_time(self):
         p = load_fixture("linear_time")
-        assert p.initial_time == Sym(INITIAL_TIME)
+        assert p.initial_time == INITIAL_TIME
         assert p.initial_name == "a"
 
     def test_rational_initial_time(self):
@@ -300,6 +308,19 @@ class TestParseProblem:
     def test_non_object_document(self):
         with pytest.raises(SchemaError):
             parse_problem("[1, 2]")
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="no int/str conversion limit before 3.11")
+    def test_integer_past_the_digit_limit(self):
+        doc = make_doc().replace('"order": 4', '"order": ' + "1" * 5001)
+        with pytest.raises(SchemaError):
+            parse_problem(doc)
+
+    def test_parsed_names_are_the_problems_symbols(self):
+        ode = load_fixture("riccati")
+        assert parse_expression("u", ode) == ode.jet_symbol(0)
+        pde = load_fixture("heat")
+        assert parse_expression("u_x", pde) == pde.jet_symbol(0, (1,))
 
     def test_parse_expression_accepts_problem_or_context(self):
         p = load_fixture("riccati")

@@ -27,7 +27,6 @@ from chronexp import (  # noqa: E402
     Mul,
     ONE,
     Pow,
-    Sym,
     TIME,
     UnsupportedFunction,
     catalog,
@@ -45,12 +44,12 @@ from conftest import load_fixture  # noqa: E402
 C = jet(0, ())
 K = free_param("k")
 ORDER = 3
-POINTS = (Const(Fraction(0)), Const(Fraction(1, 2)), Sym(INITIAL_TIME))
+POINTS = (Const(Fraction(0)), Const(Fraction(1, 2)), INITIAL_TIME)
 # The jet's series when it is mapped: c + k*w + 1/2*w^2.
-JET_SERIES = (Sym(C), Sym(K), Const(Fraction(1, 2)))
+JET_SERIES = (C, K, Const(Fraction(1, 2)))
 
 leaves = st.one_of(
-    st.sampled_from([Sym(TIME), Sym(C), Sym(K)]),
+    st.sampled_from([TIME, C, K]),
     st.fractions(min_value=-3, max_value=3, max_denominator=4).map(Const),
 )
 trees = st.recursive(
@@ -68,7 +67,7 @@ trees = st.recursive(
 def reference(e, point, jet_mapped):
     """[d^n e/dt^n at t = point / n! for n = 0..ORDER]."""
     if jet_mapped:
-        w = Add((Sym(TIME), Mul((Const(Fraction(-1)), point))))
+        w = Add((TIME, Mul((Const(Fraction(-1)), point))))
         e = subst(e, C, Add(tuple(Mul((c, Pow(w, n)))
                                   for n, c in enumerate(JET_SERIES))))
     out = []
@@ -83,7 +82,7 @@ def reference(e, point, jet_mapped):
           suppress_health_check=[HealthCheck.too_slow])
 @given(tree=trees, point=st.sampled_from(POINTS), jet_mapped=st.booleans())
 # A root node that reaches itself through f' while it is being built.
-@example(tree=Pow(Func("sqrt", Sym(TIME)), -1), point=POINTS[1],
+@example(tree=Pow(Func("sqrt", TIME), -1), point=POINTS[1],
          jet_mapped=False)
 def test_matches_repeated_differentiation(tree, point, jet_mapped):
     try:
@@ -101,7 +100,7 @@ def test_matches_repeated_differentiation(tree, point, jet_mapped):
         # numeric point ends it (sqrt(t) at 0 in (t*sqrt(t))^2) even where
         # repeated differentiation cancels the singularity.  At the
         # symbolic point no subterm vanishes.
-        assert point != Sym(INITIAL_TIME)
+        assert point != INITIAL_TIME
         reject()
     assert got == want
 
@@ -111,8 +110,8 @@ def test_matches_repeated_differentiation(tree, point, jet_mapped):
 @given(tree=trees)
 # Nested reciprocals: a sum atom whose negative exponent turns positive.
 @example(tree=Mul((Const(Fraction(2)),
-                   Pow(Pow(Add((ONE, Sym(C))), -1), -1))))
-@example(tree=Pow(Mul((Const(Fraction(3)), Pow(Add((ONE, Sym(C))), -2))),
+                   Pow(Pow(Add((ONE, C)), -1), -1))))
+@example(tree=Pow(Mul((Const(Fraction(3)), Pow(Add((ONE, C)), -2))),
                   -1))
 def test_normalize_is_idempotent(tree):
     try:
@@ -124,9 +123,9 @@ def test_normalize_is_idempotent(tree):
 
 def test_reciprocal_of_a_reciprocal_sum_is_expanded():
     once = normalize(Mul((Const(Fraction(2)),
-                          Pow(Pow(Add((ONE, Sym(C))), -1), -1))))
+                          Pow(Pow(Add((ONE, C)), -1), -1))))
     assert once == normalize(Add((Const(Fraction(2)),
-                                  Mul((Const(Fraction(2)), Sym(C))))))
+                                  Mul((Const(Fraction(2)), C)))))
 
 
 ODE_PROBLEMS = {entry.name: entry.problem for entry in catalog()
@@ -141,7 +140,7 @@ def test_roots_in_one_call_match_one_call_each(name):
     problem = ODE_PROBLEMS[name]
     fields = {problem.jet_symbol(i): rhs for i, rhs in enumerate(problem.rhs)}
     mapped = {TIME: [problem.initial_time, ONE]}
-    roots = [Sym(c) for c in fields] + list(problem.rhs)
+    roots = list(fields) + list(problem.rhs)
     together = compose(roots, mapped, 6, fields)
     assert together == [compose([root], mapped, 6, fields)[0]
                         for root in roots]
@@ -150,4 +149,4 @@ def test_roots_in_one_call_match_one_call_each(name):
 def test_function_without_a_rule_is_unsupported():
     # diff and eval_num reject a name outside expr.ELEMENTARY the same way.
     with pytest.raises(UnsupportedFunction):
-        compose([Func("tanh", Sym(TIME))], {TIME: [POINTS[0], ONE]}, ORDER)
+        compose([Func("tanh", TIME)], {TIME: [POINTS[0], ONE]}, ORDER)
