@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .errors import ExpressionBlowup, NonPolynomialRhs
+from .errors import ExpressionBlowup, NonFiniteValue, NonPolynomialRhs
 from .expr import (
     ONE,
     Const,
@@ -150,7 +150,8 @@ def chron_equiv_check(sol: SeriesSolution,
 # Matrix product integrals
 #
 # Each function imports numpy itself, so that importing the package and the
-# series commands (solve, eval, verify of a problem file) never load it.
+# series commands (solve, eval, verify of a problem file) never load it. A
+# path's factors are exponentiated as one stack, bit-identical to one by one.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -185,29 +186,42 @@ class MatrixPath:
         # both exponentials are the identity.
         if self.end == self.start:
             return np.empty(0)
-        h = self.h
-        return self.start + h * (np.arange(self.steps) + 0.5)
+        return self.start + self.h * (np.arange(self.steps) + 0.5)
 
 
-def _expm(m: np.ndarray, tol: float = EXPM_TOL) -> np.ndarray:
-    """Scaling-and-squaring truncated-series matrix exponential."""
+def _expm_stack(ms: np.ndarray, tol: float = EXPM_TOL) -> np.ndarray:
+    """Moler & Van Loan's scaling and squaring, per matrix of a stack."""
     import numpy as np
 
-    # The infinity norm as np.linalg.norm(m, np.inf) computes it, without
-    # that function's per-call overhead.
-    norm = abs(m).sum(axis=1).max()
-    squarings = 0 if norm <= 0.5 else int(np.ceil(np.log2(norm / 0.5)))
-    scaled = m / (2 ** squarings)
-    result = np.eye(m.shape[0])
-    term = np.eye(m.shape[0])
+    norms = abs(ms).sum(axis=2, keepdims=True).max(axis=1, keepdims=True)
+    squarings = np.ceil(np.log2(np.maximum(norms, 0.5) / 0.5)).astype(int)
+    scaled = np.ldexp(ms, -squarings)
+    result = np.broadcast_to(np.eye(ms.shape[1]), ms.shape).copy()
+    term, running = result.copy(), np.ones(len(ms), dtype=bool)
     for k in range(1, 64):
         term = term @ scaled / k
-        result = result + term
-        if abs(term).sum(axis=1).max() <= tol:
+        np.add(result, term, out=result, where=running[:, None, None])
+        running &= abs(term).sum(axis=2).max(axis=1) > tol
+        if not running.any():
             break
-    for _ in range(squarings):
-        result = result @ result
+    for s in range(squarings.max(initial=0)):
+        np.copyto(result, result @ result, where=squarings > s)
     return result
+
+
+def _midpoint_factors(path: MatrixPath, scale: float) -> np.ndarray:
+    """exp(scale * L(tau)) at every midpoint tau, as one (K, d, d) stack."""
+    import numpy as np
+
+    taus, d = path.midpoints(), path.dimension
+    stack = scale * np.fromiter(map(path.sampler, taus), (float, (d, d)),
+                                len(taus))
+    with np.errstate(over="ignore"):   # NaN, inf or a norm past the range
+        finite = np.isfinite(abs(stack).sum(axis=2) / 0.5).all(axis=1)
+    if not finite.all():
+        tau = float(taus[finite.argmin()])
+        raise NonFiniteValue(f"the generator is not finite at tau = {tau}")
+    return _expm_stack(stack)
 
 
 def matrix_texp(path: MatrixPath) -> np.ndarray:
@@ -216,10 +230,9 @@ def matrix_texp(path: MatrixPath) -> np.ndarray:
     """
     import numpy as np
 
-    h = path.h
     out = np.eye(path.dimension)
-    for tau in path.midpoints():
-        out = _expm(h * np.asarray(path.sampler(tau), dtype=float)) @ out
+    for factor in _midpoint_factors(path, path.h):
+        out = factor @ out
     return out
 
 
@@ -229,10 +242,9 @@ def matrix_texp_inverse(path: MatrixPath) -> np.ndarray:
     """
     import numpy as np
 
-    h = path.h
     out = np.eye(path.dimension)
-    for tau in path.midpoints():
-        out = out @ _expm(-h * np.asarray(path.sampler(tau), dtype=float))
+    for factor in _midpoint_factors(path, -path.h):
+        out = out @ factor
     return out
 
 

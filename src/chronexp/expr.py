@@ -478,7 +478,7 @@ def eval_num(e: Expr, bindings: Mapping[Sym, float]) -> float:
         try:
             return base ** e.exponent
         except OverflowError:
-            raise NonFiniteValue(f"{base}^{e.exponent} overflows") from None
+            raise NonFiniteValue("a power overflows a double") from None
     if isinstance(e, Func):
         x = eval_num(e.arg, bindings)
         try:

@@ -13,11 +13,13 @@ from chronexp import (
     build_generator,
     chron_equiv_check,
     cli,
+    lie,
     lie_coefficients,
     normalize,
     parse_expression,
     parse_problem,
     residual_check,
+    total_derivative,
 )
 from chronexp.cli import main
 
@@ -293,6 +295,20 @@ class TestEval:
         assert out == ""
         assert err.startswith("chronexp: error:") and err.count("\n") == 1
 
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="no int/str conversion limit before 3.11")
+    def test_power_past_the_double_range_with_a_long_exponent(self, tmp_path,
+                                                               capsys):
+        doc = {"kind": "ode", "time": {"name": "t", "initial": "0"},
+               "fields": ["u"], "rhs": {"u": "u^(10^5000)"}, "order": 1}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", str(path), "--order", "1",
+                             "--ic", "c=1", "--t", "0.1")
+        assert code == 1
+        assert out == ""
+        assert err == "chronexp: error: a power overflows a double\n"
+
     def test_initial_expression_rejects_parameters(self, tmp_path, capsys):
         # nothing can bind a pde's parameter, so it may not appear in --ic
         doc = {"kind": "pde", "time": {"name": "t", "initial": 0},
@@ -343,6 +359,30 @@ class TestVerify:
         monkeypatch.setattr(cli, "residual_check", counted)
         run(capsys, "verify", str(path))
         assert len(seen) == calls
+
+    def test_catalog_cross_check_reuses_jet_tables(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # Jet tables depend on the coefficients alone, so checking the series
+        # against the catalog's burgers derives no jet a second time.
+        doc = json.loads((FIXTURES / "burgers.json").read_text())
+        doc["rhs"] = {"u": "2*u*u_x"}
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return total_derivative(*args)
+
+        monkeypatch.setattr(lie, "total_derivative", counted)
+        counts = {}
+        for stem in ("other", "burgers"):
+            path = tmp_path / f"{stem}.json"
+            path.write_text(json.dumps(doc))
+            calls.clear()
+            _, out, _ = run(capsys, "verify", str(path), "--order", "7")
+            counts[stem] = len(calls)
+        assert "FAIL defining equation [vs catalog burgers]" in out
+        assert counts["other"] > 0
+        assert counts["burgers"] == counts["other"]
 
     def test_term_budget_reaches_picard(self, capsys, monkeypatch):
         budgets = []

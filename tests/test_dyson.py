@@ -15,6 +15,7 @@ from chronexp import (
     Const,
     ExpressionBlowup,
     MatrixPath,
+    NonFiniteValue,
     NonPolynomialRhs,
     ONE,
     TIME,
@@ -276,6 +277,21 @@ class TestMatrixTexp:
         deriv = (inv_at(t + dt) - inv_at(t - dt)) / (2 * dt)
         body = -inv_at(t) @ np.array([[0.0, 1.0], [-t, 0.0]])
         assert np.max(np.abs(deriv - body)) <= 1e-4
+
+    # The norm-overflow row is finite, but its sum is not.
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (math.inf, 0.0),
+                                     (1e308, 1e308)],
+                             ids=["nan", "inf", "norm-overflow"])
+    @pytest.mark.parametrize("product", ["matrix_texp", "matrix_texp_inverse"])
+    def test_non_finite_generator_names_its_midpoint(self, bad, product):
+        def sampler(tau):
+            return np.array([[0.0, 1.0], [-tau, 0.0]] if tau < 2.0
+                            else [[0.0, 1.0], bad])
+
+        path = MatrixPath(dimension=2, start=0.0, end=4.0, steps=4,
+                          sampler=sampler)
+        with pytest.raises(NonFiniteValue, match=r"tau = 2\.5$"):
+            getattr(dyson, product)(path)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):

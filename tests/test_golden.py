@@ -2,7 +2,8 @@
 
 Each case runs ``chronexp.cli.main(argv)`` in-process and compares the exit
 code and stdout with ``tests/golden/<fixture>/<case>.txt``, whose first line
-is ``exit N`` and whose remainder is stdout.  Refactors must leave every
+is ``exit N`` and whose remainder is stdout; the built-in ``verify --suite``
+runs are under ``tests/golden/suite/``.  Refactors must leave every
 file unchanged.  After a deliberate change of output, regenerate with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -41,6 +42,7 @@ ODE_INITIAL_DATA = {
     "lotka_volterra": "c1=1.2,c2=0.9",
     "pendulum": "c=1",
 }
+SUITE_SEEDS = (0, 3)
 
 
 def _fixture_names() -> list[str]:
@@ -67,6 +69,14 @@ def cases() -> list[tuple[str, list[str]]]:
         else:
             ic = ["--ic", "sin(x)", EVAL_POINTS]
         out.append((f"{name}/eval-text", ["eval", path, *ic, EVAL_TIMES]))
+    # The built-in suites pin the product integrals' printed norms and slope.
+    for seed in SUITE_SEEDS:
+        for fmt in ("text", "json"):
+            out.append((f"suite/dyson-{fmt}-{seed}",
+                        ["verify", "--suite", "dyson", "--seed", str(seed),
+                         "--format", fmt]))
+    out.append(("suite/all-json",
+                ["verify", "--suite", "all", "--format", "json"]))
     return out
 
 
