@@ -317,12 +317,12 @@ def _report(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": passed, "detail": detail}
 
 
-def _verify_catalog(solved: list[tuple[CatalogEntry, SeriesSolution]]
-                    ) -> list[dict]:
+def _verify_catalog(solved: list[tuple[CatalogEntry, SeriesSolution]],
+                    term_budget: int) -> list[dict]:
     reports = []
     for entry, sol in solved:
         tol = 100.0 * 0.1 ** (sol.order + 1)
-        res = residual_check(sol)
+        res = residual_check(sol, term_budget)
         reports.append(_report(
             f"defining equation [{entry.name}]", res.passed, res.summary()))
         points = [0.3, 1.2] if entry.problem.kind == "pde" else None
@@ -403,7 +403,7 @@ def _verify_file(args) -> list[dict]:
     sol = lie_coefficients(build_generator(problem), order,
                            term_budget=args.term_budget)
     reports = []
-    res = residual_check(sol)
+    res = residual_check(sol, args.term_budget)
     reports.append(_report("defining equation [self]", res.passed,
                            res.summary()))
 
@@ -418,7 +418,7 @@ def _verify_file(args) -> list[dict]:
             if match.problem.rhs != problem.rhs:
                 other = replace(sol, problem=match.problem)
                 other.jet_tables.extend(sol.jet_tables)
-                cross = residual_check(other)
+                cross = residual_check(other, args.term_budget)
             reports.append(_report(
                 f"defining equation [vs catalog {stem}]", cross.passed,
                 cross.summary()))
@@ -457,7 +457,7 @@ def cmd_verify(args) -> int:
             for entry in catalog()]
         reports = []
         if suite in ("catalog", "all"):
-            reports += _verify_catalog(solved)
+            reports += _verify_catalog(solved, args.term_budget)
         if suite in ("dyson", "all"):
             reports += _verify_dyson(args.seed)
         if suite in ("homomorphism", "all"):

@@ -4,8 +4,8 @@ Two routes certify the solution operator independently of the Lie-series
 machinery:
 
 * the integral form u = c - int_a^t F(tau, u), whose fixed point
-  ``series.compose`` expands one order at a time, every field of a system
-  in one call, and whose Picard iterates are the applied
+  ``series.compose_terms`` expands one order at a time, every field of a
+  system in one call, and whose Picard iterates are the applied
   opposed-chronological series, and
 * a numeric midpoint product integral for linear matrix problems,
   approximating the time-ordered exponential E and its inverse, with the
@@ -21,22 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .errors import ExpressionBlowup, NonFiniteValue, NonPolynomialRhs
+from .errors import NonFiniteValue, NonPolynomialRhs
 from .expr import (
     ONE,
-    Const,
     Expr,
     Fraction,
-    Mul,
     SymbolKind,
     TIME,
-    normalize,
+    _build,
+    _terms,
     symbols_of,
-    term_count,
 )
 from .lie import DEFAULT_TERM_BUDGET, SeriesSolution
 from .parser import ProblemSpec
-from .series import compose, polynomial
+from .series import compose_terms, polynomial
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,12 +56,6 @@ def _require_ode(p: ProblemSpec) -> None:
                     "oracle covers ode and system problems only")
 
 
-def _check_budget(columns: list[list[Expr]], term_budget: int) -> None:
-    if any(term_count(c) > term_budget for column in columns for c in column):
-        raise ExpressionBlowup(
-            f"Picard coefficient exceeds {term_budget} monomials")
-
-
 def picard_iterate(p: ProblemSpec, k: int) -> tuple[Expr, ...]:
     """k rounds of u^(j) = c - int_a^t F(tau, u^(j-1)(tau)) dtau with exact
     polynomial integration: per field, a polynomial in (t - a) whose orders
@@ -74,17 +66,19 @@ def picard_iterate(p: ProblemSpec, k: int) -> tuple[Expr, ...]:
     """
     _require_ode(p)
     seeds = [p.jet_symbol(i) for i in range(p.n_fields)]
-    columns: list[list[Expr]] = [[seed] for seed in seeds]
+    columns = [[_terms(seed)] for seed in seeds]
     for _ in range(k):
         # F_i(tau, u(tau)) in powers of w = tau - a, then one integration
-        mapped = {TIME: [p.initial_time, ONE]}
+        mapped = {TIME: [_terms(p.initial_time), _terms(ONE)]}
         mapped.update(zip(seeds, columns))
-        columns = [[seed] + [normalize(Mul((Const(Fraction(-1, m + 1)), cm)))
-                             for m, cm in enumerate(forcing)]
-                   for seed, forcing in zip(seeds, compose(p.rhs, mapped,
-                                                           None))]
-        _check_budget(columns, DEFAULT_TERM_BUDGET)
-    return tuple(polynomial(column, p.initial_time) for column in columns)
+        forcings = compose_terms(p.rhs, mapped, None,
+                                 term_budget=DEFAULT_TERM_BUDGET)
+        columns = [[_terms(seed)] + [{mono: c * Fraction(-1, m + 1)
+                                      for mono, c in cm.items()}
+                                     for m, cm in enumerate(forcing)]
+                   for seed, forcing in zip(seeds, forcings)]
+    return tuple(polynomial([_build(c) for c in column], p.initial_time)
+                 for column in columns)
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +116,17 @@ def chron_equiv_check(sol: SeriesSolution,
     order = sol.order
     _require_ode(p)
     fields = {p.jet_symbol(i): rhs for i, rhs in enumerate(p.rhs)}
-    mapped = {TIME: [p.initial_time, ONE]}
-    picard = compose(list(fields), mapped, order, fields)
-    _check_budget(picard, term_budget)
-    rows = []
-    failing_field = None
-    failing_order = None
-    for i in range(p.n_fields):
-        row = tuple(picard[i][n] == sol.coeffs[i][n]
-                    for n in range(order + 1))
-        rows.append(row)
-        for n, ok in enumerate(row):
-            if not ok and (failing_order is None or n < failing_order):
-                failing_order = n
-                failing_field = p.field_names[i]
+    mapped = {TIME: [_terms(p.initial_time), _terms(ONE)]}
+    picard = compose_terms(list(fields), mapped, order, fields, term_budget)
+    rows = tuple(tuple(picard[i][n] == sol.terms[i][n]
+                       for n in range(order + 1)) for i in range(p.n_fields))
+    failing_order, _, failing_field = min(
+        ((n, i, p.field_names[i]) for i, row in enumerate(rows)
+         for n, ok in enumerate(row) if not ok), default=(None, None, None))
     return EquivalenceReport(
         field_names=p.field_names,
         order=order,
-        orders_equal=tuple(rows),
+        orders_equal=rows,
         passed=failing_order is None,
         failing_field=failing_field,
         failing_order=failing_order,

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Mapping
 
 from .errors import (
@@ -385,32 +386,42 @@ def term_count(e: Expr) -> int:
 # Differentiation
 # ---------------------------------------------------------------------------
 
-def _diff(e: Expr, sym: Sym) -> Expr:
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Sym):
-        return ONE if e == sym else ZERO
-    if isinstance(e, Add):
-        return Add(tuple(_diff(t, sym) for t in e.terms))
-    if isinstance(e, Mul):
-        pieces = []
-        for i, f in enumerate(e.factors):
-            rest = e.factors[:i] + e.factors[i + 1:]
-            pieces.append(Mul((_diff(f, sym), *rest)))
-        return Add(tuple(pieces))
-    if isinstance(e, Pow):
-        return Mul((Const(Fraction(e.exponent)), Pow(e.base, e.exponent - 1),
-                    _diff(e.base, sym)))
-    if isinstance(e, Func):
-        return Mul((ELEMENTARY[e.name].derivative(e.arg), _diff(e.arg, sym)))
-    raise TypeError(f"not an expression node: {e!r}")
+def _derive(terms: _Terms, rule: Callable[[Sym], _Terms]) -> _Terms:
+    """The derivation of term dicts sending each symbol s to rule(s): each
+    atom a^k of a monomial adds coeff*k*(monomial with a^(k-1))*d(a).  A
+    Func atom's d(a) is f'(u)*d(u), f' from ELEMENTARY, and a sum atom's is
+    the derivation of its terms; each atom is differentiated once.
+    """
+    @cache
+    def of_atom(atom: Expr) -> _Terms:
+        if isinstance(atom, Sym):
+            return rule(atom)
+        if isinstance(atom, Func):
+            inner = of_terms(_terms(atom.arg))
+            return inner and _mul_terms(
+                _terms(ELEMENTARY[atom.name].derivative(atom.arg)), inner)
+        return of_terms(_terms(atom))
+
+    def of_terms(terms: _Terms) -> _Terms:
+        out: _Terms = {}
+        for mono, coeff in terms.items():
+            for i, (atom, k) in enumerate(mono):
+                d = of_atom(atom)
+                if d:
+                    lowered = ((atom, k - 1),) if k != 1 else ()
+                    rest = mono[:i] + lowered + mono[i + 1:]
+                    _add_terms(out, _mul_terms({rest: coeff * k}, d))
+        return out
+
+    return of_terms(terms)
 
 
 def diff(e: Expr, sym: Sym) -> Expr:
     """Partial derivative treating every symbol as an independent coordinate
     (jet variables of distinct multi-indices are independent).
     """
-    return normalize(_diff(e, sym))
+    return _build(_derive(_terms(e),
+                          lambda s: {(): Fraction(1)} if s == sym else {}))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 from .errors import ExpressionBlowup
@@ -31,8 +31,12 @@ from .expr import (
     Fraction,
     Mul,
     Sym,
+    SymbolKind,
     TIME,
-    ZERO,
+    _Terms,
+    _build,
+    _derive,
+    _terms,
     diff,
     eval_num,
     jet,
@@ -44,7 +48,7 @@ from .expr import (
     term_count,
 )
 from .parser import ProblemSpec
-from .series import compose
+from .series import compose, compose_terms
 
 DEFAULT_TERM_BUDGET = 10 ** 6
 
@@ -64,45 +68,48 @@ class Generator:
 
 
 def build_generator(p: ProblemSpec) -> Generator:
-    return Generator(p, jet_derivatives(p.rhs))
+    return Generator(p, jet_derivatives([_terms(e) for e in p.rhs]))
 
 
-def jet_derivatives(bases: Sequence[Expr]) -> Callable[[Sym], Expr]:
-    """Memoized D_x^alpha bases[k] for the jet symbol (k, alpha).
+def jet_derivatives(bases: Sequence[_Terms]) -> Callable[[Sym], Expr]:
+    """Memoized D_x^alpha bases[k] for the jet symbol (k, alpha) as a tree,
+    and as a term dict through the ``terms`` attribute.
 
-    The bases must be canonical.  The first nonzero order of alpha is
-    lowered one step at a time with total_derivative, so every intermediate
-    derivative is computed once and shared.
+    The bases are term dicts.  The first nonzero order of alpha is lowered
+    one step at a time with total_derivative in term form, so every
+    intermediate derivative is computed once and shared, and a tree is
+    built only for a jet asked for as one.
     """
-    cache: dict[Sym, Expr] = {}
+    @cache
+    def terms(jsym: Sym) -> _Terms:
+        orders = jsym.orders
+        if not any(orders):
+            return bases[jsym.index]
+        j = next(i for i, n in enumerate(orders) if n)
+        lower = tuple(n - 1 if i == j else n for i, n in enumerate(orders))
+        return total_derivative(terms(jet(jsym.index, lower)), j)
 
-    def derive(jsym: Sym) -> Expr:
-        hit = cache.get(jsym)
-        if hit is None:
-            orders = jsym.orders
-            if not any(orders):
-                hit = bases[jsym.index]
-            else:
-                j = next(i for i, n in enumerate(orders) if n)
-                lower = tuple(n - 1 if i == j else n
-                              for i, n in enumerate(orders))
-                hit = total_derivative(derive(jet(jsym.index, lower)), j)
-            cache[jsym] = hit
-        return hit
-
+    derive = cache(lambda jsym: _build(terms(jsym)))
+    derive.terms = terms
     return derive
 
 
-def total_derivative(e: Expr, space_index: int) -> Expr:
+def total_derivative(e: Expr | _Terms, space_index: int) -> Expr | _Terms:
     """Total space derivative on jet expressions:
-    D_{x_j} e = de/dx_j + sum over jets of Jet(k, alpha+e_j) * de/dJet(k, alpha).
+    D_{x_j} e = de/dx_j + sum over jets of Jet(k, alpha+e_j) * de/dJet(k, alpha),
+    the derivation sending x_j to 1 and each jet to its bumped jet.  A tree
+    gives a tree, and a term dict (``expr``'s internal form) a term dict.
     """
-    pieces = [diff(e, space_var(space_index))]
-    for jsym in jets_of(e):
-        bumped = tuple(
-            k + 1 if i == space_index else k for i, k in enumerate(jsym.orders))
-        pieces.append(Mul((jet(jsym.index, bumped), diff(e, jsym))))
-    return normalize(Add(tuple(pieces)))
+    def rule(s: Sym) -> _Terms:
+        if s.kind == SymbolKind.JET:
+            up = tuple(k + 1 if i == space_index else k
+                       for i, k in enumerate(s.orders))
+            return {((jet(s.index, up), 1),): Fraction(1)}
+        return {(): Fraction(1)} if s == space_var(space_index) else {}
+
+    if isinstance(e, Expr):
+        return _build(_derive(_terms(e), rule))
+    return _derive(e, rule)
 
 
 def apply_generator(g: Generator, e: Expr) -> Expr:
@@ -141,6 +148,11 @@ class SeriesSolution:
             for c in column:
                 if TIME in symbols_of(c):
                     raise ValueError("coefficients must not contain t")
+
+    @cached_property
+    def terms(self) -> tuple[tuple[_Terms, ...], ...]:
+        """The coefficients as term dicts, shared by every check."""
+        return tuple(tuple(map(_terms, column)) for column in self.coeffs)
 
     @cached_property
     def jet_tables(self) -> list[Callable[[Sym], Expr]]:
@@ -226,7 +238,7 @@ def initial_jet_bindings(sol: SeriesSolution, initial_exprs: list[Expr],
             needed |= jets_of(coeff)
     for k in range(problem.n_fields):
         needed.add(problem.jet_symbol(k))
-    derive = jet_derivatives([normalize(e) for e in initial_exprs])
+    derive = jet_derivatives([_terms(e) for e in initial_exprs])
     derived = [(jsym, derive(jsym)) for jsym in needed]
     binds = []
     for space_values in points:
@@ -249,18 +261,19 @@ def taylor_coefficients(e: Expr, point: Expr, order: int) -> list[Expr]:
 
 
 def _jet_series(sol: SeriesSolution,
-                count: int) -> Callable[[Sym], list[Expr]]:
-    """The first ``count`` series coefficients of every jet of the solution.
+                count: int) -> Callable[[Sym], list[_Terms]]:
+    """The first ``count`` series coefficients of every jet of the solution,
+    in term form.
 
     D_x^alpha acts on the series coefficient by coefficient, so coefficient
     n of jet (k, alpha) is D_x^alpha C_{k,n}: one memoized table per order,
     kept on the solution.
     """
     tables = sol.jet_tables
-    tables += [jet_derivatives([column[n] for column in sol.coeffs])
+    tables += [jet_derivatives([column[n] for column in sol.terms])
                for n in range(len(tables), count)]
     tables = tables[:count]
-    return lambda jsym: [derive(jsym) for derive in tables]
+    return lambda jsym: [derive.terms(jsym) for derive in tables]
 
 
 @dataclass(frozen=True)
@@ -281,7 +294,8 @@ class ResidualReport:
                 f"order {self.failing_order}")
 
 
-def residual_check(sol: SeriesSolution) -> ResidualReport:
+def residual_check(sol: SeriesSolution,
+                   term_budget: int = DEFAULT_TERM_BUDGET) -> ResidualReport:
     """Verify the defining equation order by order.
 
     The residual d/dt(series) + F(t, x, series, jets-of-series) must have
@@ -291,22 +305,20 @@ def residual_check(sol: SeriesSolution) -> ResidualReport:
     """
     problem = sol.problem
     jet_series = _jet_series(sol, sol.order)
-    mapped = {TIME: [problem.initial_time, ONE]}
+    mapped = {TIME: [_terms(problem.initial_time), _terms(ONE)]}
     for rhs in problem.rhs:
         for jsym in jets_of(rhs):
             mapped[jsym] = jet_series(jsym)
-    failing_order = None
-    failing_field = None
-    for i, forcing in enumerate(compose(problem.rhs, mapped, sol.order - 1)):
-        column = sol.coeffs[i]
-        for n, f_n in enumerate(forcing):
-            # coefficient n of du/dt + F(u): (n+1) U_{n+1} + [F(U)]_n
-            if normalize(Add((Mul((Const(Fraction(n + 1)), column[n + 1])),
-                              f_n))) != ZERO:
-                if failing_order is None or n + 1 < failing_order:
-                    failing_order = n + 1
-                    failing_field = problem.field_names[i]
-                break
+    forcings = compose_terms(problem.rhs, mapped, sol.order - 1,
+                             term_budget=term_budget)
+    # Coefficient n of du/dt + F(u) is (n+1) U_{n+1} + [F(U)]_n; the lowest
+    # failing order is reported, at the first field where it fails.
+    failing_order, _, failing_field = min(
+        ((n + 1, i, problem.field_names[i])
+         for i, forcing in enumerate(forcings) for n, f_n in enumerate(forcing)
+         if f_n != {mono: -(n + 1) * c
+                    for mono, c in sol.terms[i][n + 1].items()}),
+        default=(None, None, None))
     return ResidualReport(
         field_names=problem.field_names,
         checked_orders=sol.order,
@@ -349,9 +361,9 @@ def check_homomorphism(sol: SeriesSolution, G: Expr, order: int,
     lhs = apply_series_to_function(build_generator(sol.problem), G, order,
                                    term_budget)
     jet_series = _jet_series(sol, order + 1)
-    rhs = compose([G], {jsym: jet_series(jsym) for jsym in jets_of(G)},
-                  order)[0]
-    equal = tuple(l == r for l, r in zip(lhs, rhs))
+    rhs = compose_terms([G], {jsym: jet_series(jsym) for jsym in jets_of(G)},
+                        order, term_budget=term_budget)[0]
+    equal = tuple(_terms(l) == r for l, r in zip(lhs, rhs))
     failing = next((n for n, ok in enumerate(equal) if not ok), None)
     return HomomorphismReport(
         order=order,

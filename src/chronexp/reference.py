@@ -19,6 +19,7 @@ from .expr import (
     Sym,
     TIME,
     ZERO,
+    _terms,
     diff,
     eval_num,
     jets_of,
@@ -128,7 +129,7 @@ class CatalogEntry:
 def _entry_defining_residual(entry: CatalogEntry) -> None:
     """Substitute the exact solution into du/dt + F = 0; exact-zero check."""
     p = entry.problem
-    exact_jet = jet_derivatives(entry.exact)
+    exact_jet = jet_derivatives([_terms(e) for e in entry.exact])
     for i in range(p.n_fields):
         replacement = {jsym: exact_jet(jsym) for jsym in jets_of(p.rhs[i])}
         residual = normalize(Add((

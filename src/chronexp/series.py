@@ -15,9 +15,10 @@ Math.* 14 (2005) 99-117, section 2).  Coefficient n of a node depends on
 coefficients 0..n of its children only, so truncation is exact.
 
 Every node keeps its coefficients in ``expr``'s internal term form (monomial
-to rational), the form ``normalize`` works in, and a tree is built only for
-each returned coefficient; one call expands several roots over one node
-table, such as every field of a coupled system.
+to rational), the form ``normalize`` works in.  ``compose_terms`` takes and
+returns coefficients in that form, so the oracles compare them as dicts;
+``compose`` is its face for trees.  One call expands several roots over one
+node table, such as every field of a coupled system.
 
 This module never sees the generator: the residual, Picard and
 homomorphism oracles rest on it independently of the Lie series.
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import NonPolynomialRhs
+from .errors import ExpressionBlowup, NonPolynomialRhs
 from .expr import (
     ELEMENTARY,
     MINUS_ONE,
@@ -52,21 +53,26 @@ from .expr import (
 
 class _Series:
     """The coefficients of one node as term dicts, computed on demand and
-    kept.  Every coefficient beyond ``degree`` is zero (None: no bound,
-    which is also what a node still being defined reports to the nodes
-    built under it).
+    kept, each within ``term_budget`` monomials.  Every coefficient beyond
+    ``degree`` is zero (None: no bound, which is also what a node still
+    being defined reports to the nodes built under it).
     """
 
-    def __init__(self):
+    def __init__(self, term_budget: float):
         self.degree: int | None = None
         self.step: Callable[[int], _Terms] | None = None
         self.known: list[_Terms] = []
+        self.term_budget = term_budget
 
     def __getitem__(self, n: int) -> _Terms:
         if self.degree is not None and n > self.degree:
             return {}
         while len(self.known) <= n:
-            self.known.append(self.step(len(self.known)))
+            terms = self.step(len(self.known))
+            if len(terms) > self.term_budget:
+                raise ExpressionBlowup(
+                    f"series coefficient exceeds {self.term_budget} monomials")
+            self.known.append(terms)
         return self.known[n]
 
 
@@ -106,15 +112,28 @@ def _reciprocal(out: _Series, v: _Series) -> None:
 def compose(roots: Sequence[Expr], mapped: Mapping[Sym, Sequence[Expr]],
             order: int | None,
             integrals: Mapping[Sym, Expr] = {}) -> list[list[Expr]]:
-    """Coefficients [y_0, ..., y_order] in w of each canonical tree in
-    ``roots`` once each symbol of ``mapped`` is replaced by the series
-    sum_n c_n w^n of its coefficient list, and each symbol c of
-    ``integrals`` by the series c - int_a^t F dtau of its tree F; every
-    other symbol is a constant.  The roots share one node table, so a
-    subtree common to several is expanded once.
+    """``compose_terms`` on canonical trees, in ``mapped`` and out."""
+    terms = {s: [_terms(c) for c in coeffs] for s, coeffs in mapped.items()}
+    return [[_build(c) for c in column]
+            for column in compose_terms(roots, terms, order, integrals)]
+
+
+def compose_terms(roots: Sequence[Expr],
+                  mapped: Mapping[Sym, Sequence[_Terms]], order: int | None,
+                  integrals: Mapping[Sym, Expr] = {},
+                  term_budget: float = float("inf")) -> list[list[_Terms]]:
+    """Coefficients [y_0, ..., y_order] in w, as term dicts, of each
+    canonical tree in ``roots`` once each symbol of ``mapped`` is replaced
+    by the series sum_n c_n w^n of its term-dict coefficient list, and each
+    symbol c of ``integrals`` by the series c - int_a^t F dtau of its tree
+    F; every other symbol is a constant.  The roots share one node table,
+    so a subtree common to several is expanded once.  The returned dicts
+    may be the ones passed in, and must not be changed.
 
     With order None each root's exact polynomial degree is used, and a
     mapped symbol in a non-polynomial position raises NonPolynomialRhs.
+    A coefficient of any node with more than ``term_budget`` monomials
+    raises ExpressionBlowup.
     """
     nodes: dict[Expr, _Series] = {}
 
@@ -123,7 +142,7 @@ def compose(roots: Sequence[Expr], mapped: Mapping[Sym, Sequence[Expr]],
         if s is None:
             # Registered before its children, so that exp(u), the
             # sin(u)/cos(u) pair and an integral reach themselves.
-            s = nodes[node] = _Series()
+            s = nodes[node] = _Series(term_budget)
             define(s, node)
         return s
 
@@ -132,7 +151,7 @@ def compose(roots: Sequence[Expr], mapped: Mapping[Sym, Sequence[Expr]],
         if isinstance(node, Sym) and node in mapped:
             coeffs = mapped[node]
             s.degree = len(coeffs) - 1
-            s.step = lambda n: _terms(coeffs[n])
+            s.step = coeffs.__getitem__
         elif isinstance(node, Sym) and node in integrals:
             f = series_of(integrals[node])
             s.step = lambda n: _terms(node) if n == 0 else _scaled(
@@ -183,7 +202,7 @@ def compose(roots: Sequence[Expr], mapped: Mapping[Sym, Sequence[Expr]],
                 raise NonPolynomialRhs(
                     "expression is not polynomial in the expanded symbols")
             top = root.degree
-        out.append([_build(root[n]) for n in range(top + 1)])
+        out.append([root[n] for n in range(top + 1)])
     return out
 
 

@@ -397,6 +397,43 @@ class TestVerify:
         assert code == 0
         assert budgets == [500]
 
+    @pytest.mark.parametrize("argv,checks", [
+        ([str(FIXTURES / "corrupt" / "riccati.json")], 2),
+        (["--suite", "catalog"], 8)], ids=["file", "catalog"])
+    def test_term_budget_reaches_every_residual_check(self, capsys,
+                                                      monkeypatch, argv,
+                                                      checks):
+        # The file mode's self and vs-catalog checks, and the suite's.
+        budgets = []
+
+        def recorded(sol, term_budget):
+            budgets.append(term_budget)
+            return residual_check(sol, term_budget)
+
+        monkeypatch.setattr(cli, "residual_check", recorded)
+        run(capsys, "verify", *argv, "--term-budget", "500")
+        assert budgets == [500] * checks
+
+    def test_term_budget_stops_the_residual(self, tmp_path, capsys):
+        # Every coefficient of the solve is one monomial; the residual, the
+        # first check, expands sqrt(1 + u), whose argument has two.  The
+        # homomorphism's Lie series would overflow next, with its own
+        # message.
+        doc = {"kind": "pde", "time": {"name": "t", "initial": "0"},
+               "space": ["x"], "fields": ["u"], "rhs": {"u": "sqrt(1 + u)"}}
+        path = tmp_path / "sqrt.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "solve", str(path), "--term-budget", "1")[0] == 0
+        code, out, err = run(capsys, "verify", str(path), "--term-budget",
+                             "1")
+        assert code == 2
+        assert out == ""
+        assert err == ("chronexp: resource limit: series coefficient "
+                       "exceeds 1 monomials\n")
+        code, out, _ = run(capsys, "verify", str(path), "--term-budget", "2")
+        assert code == 0
+        assert out.endswith("2/2 checks passed\n")
+
     def test_pde_file_mode(self, capsys):
         code, out, _ = run(capsys, "verify", fx("heat"), "--order", "4")
         assert code == 0

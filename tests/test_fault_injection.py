@@ -1,0 +1,78 @@
+"""Fault injection on the exact routes.
+
+A rational added to one coefficient of a solved catalog series is the shape
+of a wrong solve.  The residual must name exactly the perturbed field and
+order, and so must the integral form on ode and system problems; the
+homomorphism check must fail at that order.
+"""
+
+import dataclasses
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from chronexp import (  # noqa: E402
+    Add,
+    Const,
+    Mul,
+    build_generator,
+    catalog,
+    check_homomorphism,
+    chron_equiv_check,
+    lie_coefficients,
+    normalize,
+    residual_check,
+)
+
+ORDER = 4
+SOLVED = {entry.name: lie_coefficients(build_generator(entry.problem), ORDER)
+          for entry in catalog()}
+
+
+@st.composite
+def faults(draw):
+    """(series name, field, order >= 1, nonzero rational)."""
+    name = draw(st.sampled_from(sorted(SOLVED)))
+    field = draw(st.integers(0, SOLVED[name].problem.n_fields - 1))
+    order = draw(st.integers(1, ORDER))
+    delta = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7)
+                 .filter(bool))
+    return name, field, order, delta
+
+
+def perturbed(sol, field, order, delta):
+    coeffs = [list(column) for column in sol.coeffs]
+    coeffs[field][order] = normalize(Add((coeffs[field][order],
+                                          Const(delta))))
+    return dataclasses.replace(
+        sol, coeffs=tuple(tuple(column) for column in coeffs))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fault=faults())
+def test_every_exact_route_finds_the_fault(fault):
+    name, field, order, delta = fault
+    sol = SOLVED[name]
+    p = sol.problem
+    broken = perturbed(sol, field, order, delta)
+
+    residual = residual_check(broken)
+    assert (residual.failing_field, residual.failing_order) == (
+        p.field_names[field], order)
+
+    if p.kind in ("ode", "system"):
+        equiv = chron_equiv_check(broken)
+        assert (equiv.failing_field, equiv.failing_order) == (
+            p.field_names[field], order)
+
+    # G reads the perturbed field: c_k^2, or c_k * c_k,x for a pde.
+    c = p.jet_symbol(field)
+    G = normalize(Mul((c, p.jet_symbol(field, (1,)) if p.kind == "pde"
+                       else c)))
+    homomorphism = check_homomorphism(broken, G, ORDER)
+    assert not homomorphism.passed
+    assert homomorphism.failing_order == order

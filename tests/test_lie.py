@@ -38,6 +38,7 @@ from chronexp import (
     total_derivative,
 )
 from chronexp import lie
+from chronexp.expr import _terms
 from chronexp.lie import jet_derivatives
 from chronexp.series import polynomial
 
@@ -320,7 +321,7 @@ def per_point_bindings(sol, initial_exprs, space_values):
     for column in sol.coeffs:
         for coeff in column:
             needed |= jets_of(coeff)
-    derive = jet_derivatives([normalize(e) for e in initial_exprs])
+    derive = jet_derivatives([_terms(e) for e in initial_exprs])
     for jsym in needed:
         bind[jsym] = eval_num(derive(jsym), bind)
     return bind

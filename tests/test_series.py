@@ -22,6 +22,7 @@ from chronexp import (  # noqa: E402
     Const,
     DivisionByZero,
     DomainError,
+    ExpressionBlowup,
     Func,
     INITIAL_TIME,
     Mul,
@@ -36,8 +37,8 @@ from chronexp import (  # noqa: E402
     normalize,
     subst,
 )
-from chronexp.expr import ELEMENTARY  # noqa: E402
-from chronexp.series import compose  # noqa: E402
+from chronexp.expr import ELEMENTARY, _terms  # noqa: E402
+from chronexp.series import compose, compose_terms  # noqa: E402
 
 from conftest import load_fixture  # noqa: E402
 
@@ -150,3 +151,15 @@ def test_function_without_a_rule_is_unsupported():
     # diff and eval_num reject a name outside expr.ELEMENTARY the same way.
     with pytest.raises(UnsupportedFunction):
         compose([Func("tanh", TIME)], {TIME: [POINTS[0], ONE]}, ORDER)
+
+
+def test_term_budget_bounds_every_node():
+    # Each coefficient of sin(c + k + t) is one monomial, but its argument's
+    # first, c + k + 1/2, has three.
+    root = normalize(Func("sin", Add((C, K, TIME))))
+    mapped = {TIME: [_terms(POINTS[1]), _terms(ONE)],
+              C: [_terms(C), _terms(ONE)]}
+    column, = compose_terms([root], mapped, 3, term_budget=3)
+    assert max(len(c) for c in column) == 1
+    with pytest.raises(ExpressionBlowup):
+        compose_terms([root], mapped, 3, term_budget=2)
