@@ -81,6 +81,7 @@ from .dyson import (
     airy_path,
     check_inverse_identity,
     chron_equiv_check,
+    convergence_slope,
     matrix_texp,
     matrix_texp_inverse,
     picard_iterate,
@@ -93,7 +94,6 @@ from .reference import (
     catalog,
     catalog_entry,
     compare_series_to_reference,
-    convergence_slope,
     rk4_solve,
 )
 

@@ -14,8 +14,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 from .errors import (
     ChronexpError,
@@ -64,25 +64,14 @@ CONVERGENCE_STEPS = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
 # Output document
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OutputDocument:
-    """Everything a command may emit; the JSON rendering keeps all four
-    keys so consumers see a stable shape.
+def _write_json(problem: dict | None = None, coefficients: Sequence = (),
+                evaluations: Sequence = (), reports: Sequence = ()) -> None:
+    """Write a command's JSON document; every command writes all four keys,
+    so consumers see a stable shape.
     """
-
-    problem: dict | None = None
-    coefficients: list = field(default_factory=list)
-    evaluations: list = field(default_factory=list)
-    reports: list = field(default_factory=list)
-
-    def json_text(self) -> str:
-        payload = {
-            "problem": self.problem,
-            "coefficients": self.coefficients,
-            "evaluations": self.evaluations,
-            "reports": self.reports,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+    payload = {"problem": problem, "coefficients": coefficients,
+               "evaluations": evaluations, "reports": reports}
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _problem_echo(p: ProblemSpec, order: int) -> dict:
@@ -197,12 +186,10 @@ def cmd_solve(args) -> int:
         for i in range(problem.n_fields):
             print(series_text(sol, i))
         return 0
-    doc = OutputDocument(problem=_problem_echo(problem, order))
-    for i, fname in enumerate(problem.field_names):
-        for n, coeff in enumerate(sol.coeffs[i]):
-            doc.coefficients.append(
-                {"field": fname, "n": n, "expr": render(coeff, problem)})
-    sys.stdout.write(doc.json_text())
+    _write_json(_problem_echo(problem, order), coefficients=[
+        {"field": fname, "n": n, "expr": render(coeff, problem)}
+        for fname, column in zip(problem.field_names, sol.coeffs)
+        for n, coeff in enumerate(column)])
     return 0
 
 
@@ -299,13 +286,13 @@ def cmd_eval(args) -> int:
             cells += [f"{v:.8f}" for v in values]
             print("\t".join(cells))
         return 0
-    doc = OutputDocument(problem=_problem_echo(problem, order))
+    evaluations = []
     for t, x, values in rows:
         row = {"t": t, "values": dict(zip(problem.field_names, values))}
         if x is not None:
             row["x"] = x
-        doc.evaluations.append(row)
-    sys.stdout.write(doc.json_text())
+        evaluations.append(row)
+    _write_json(_problem_echo(problem, order), evaluations=evaluations)
     return 0
 
 
@@ -413,12 +400,11 @@ def _verify_file(args) -> list[dict]:
         shaped = (match.problem.n_fields == problem.n_fields
                   and len(match.problem.space_names) == len(problem.space_names))
         if shaped:
-            # Same rhs: the self-check; jet tables depend only on coefficients.
+            # Same rhs: the self-check.
             cross = res
             if match.problem.rhs != problem.rhs:
-                other = replace(sol, problem=match.problem)
-                other.jet_tables.extend(sol.jet_tables)
-                cross = residual_check(other, args.term_budget)
+                cross = residual_check(sol.for_problem(match.problem),
+                                       args.term_budget)
             reports.append(_report(
                 f"defining equation [vs catalog {stem}]", cross.passed,
                 cross.summary()))
@@ -471,8 +457,7 @@ def cmd_verify(args) -> int:
             print(f"{status} {r['name']}: {r['detail']}")
         print(f"{len(reports) - len(failed)}/{len(reports)} checks passed")
     else:
-        doc = OutputDocument(reports=reports)
-        sys.stdout.write(doc.json_text())
+        _write_json(reports=reports)
     return 3 if failed else 0
 
 

@@ -29,6 +29,7 @@ from .expr import (
     SymbolKind,
     TIME,
     _build,
+    _scaled,
     _terms,
     symbols_of,
 )
@@ -73,8 +74,7 @@ def picard_iterate(p: ProblemSpec, k: int) -> tuple[Expr, ...]:
         mapped.update(zip(seeds, columns))
         forcings = compose_terms(p.rhs, mapped, None,
                                  term_budget=DEFAULT_TERM_BUDGET)
-        columns = [[_terms(seed)] + [{mono: c * Fraction(-1, m + 1)
-                                      for mono, c in cm.items()}
+        columns = [[_terms(seed)] + [_scaled(Fraction(-1, m + 1), cm)
                                      for m, cm in enumerate(forcing)]
                    for seed, forcing in zip(seeds, forcings)]
     return tuple(polynomial([_build(c) for c in column], p.initial_time)
@@ -139,6 +139,8 @@ def chron_equiv_check(sol: SeriesSolution,
 # Each function imports numpy itself, so that importing the package and the
 # series commands (solve, eval, verify of a problem file) never load it. A
 # path's factors are exponentiated as one stack, bit-identical to one by one.
+# The log-log slope fit of a convergence study lives here too, numpy's one
+# other user.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -293,9 +295,20 @@ def texp_self_convergence(sampler: Callable[[float], np.ndarray],
     used = [(end - start) / k for k in counts]
     errors = [float(np.linalg.norm(products[k] - products[2 * k], np.inf))
               for k in counts]
-    slope = float(np.polyfit(np.log(used), np.log(errors), 1)[0])
-    return ConvergenceReport(
-        step_sizes=tuple(used), errors=tuple(errors), slope=slope)
+    return ConvergenceReport(step_sizes=tuple(used), errors=tuple(errors),
+                             slope=convergence_slope(used, errors))
+
+
+def convergence_slope(offsets: list[float], errors: list[float]) -> float:
+    """Least-squares slope of log error against log offset."""
+    pairs = [(dt, err) for dt, err in zip(offsets, errors) if err > 0.0]
+    if len(pairs) < 2:
+        raise ValueError("need at least two nonzero errors for a slope")
+    import numpy as np
+
+    xs = np.log([dt for dt, _ in pairs])
+    ys = np.log([err for _, err in pairs])
+    return float(np.polyfit(xs, ys, 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import (
     DivisionByZero,
@@ -281,6 +281,17 @@ def _mul_terms(a: _Terms, b: _Terms) -> _Terms:
             else:
                 out.pop(mono, None)
     return out
+
+
+def _sum(parts: Iterable[_Terms]) -> _Terms:
+    acc: _Terms = {}
+    for part in parts:
+        _add_terms(acc, part)
+    return acc
+
+
+def _scaled(factor: Fraction, terms: _Terms) -> _Terms:
+    return _mul_terms({(): factor}, terms)
 
 
 def _pow_terms(base: _Terms, n: int) -> _Terms:

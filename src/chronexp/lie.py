@@ -18,7 +18,7 @@ prolongation over exactly the jets present in the operand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
@@ -36,6 +36,7 @@ from .expr import (
     _Terms,
     _build,
     _derive,
+    _scaled,
     _terms,
     diff,
     eval_num,
@@ -68,47 +69,42 @@ class Generator:
 
 
 def build_generator(p: ProblemSpec) -> Generator:
-    return Generator(p, jet_derivatives([_terms(e) for e in p.rhs]))
+    derived = jet_derivatives([_terms(e) for e in p.rhs])
+    return Generator(p, cache(lambda jsym: _build(derived(jsym))))
 
 
-def jet_derivatives(bases: Sequence[_Terms]) -> Callable[[Sym], Expr]:
-    """Memoized D_x^alpha bases[k] for the jet symbol (k, alpha) as a tree,
-    and as a term dict through the ``terms`` attribute.
+def jet_derivatives(bases: Sequence[_Terms]) -> Callable[[Sym], _Terms]:
+    """Memoized D_x^alpha bases[k] for the jet symbol (k, alpha), in term
+    form, as the bases are.
 
-    The bases are term dicts.  The first nonzero order of alpha is lowered
-    one step at a time with total_derivative in term form, so every
-    intermediate derivative is computed once and shared, and a tree is
-    built only for a jet asked for as one.
+    The first nonzero order of alpha is lowered one step at a time with
+    total_derivative, so every intermediate derivative is computed once
+    and shared.
     """
     @cache
-    def terms(jsym: Sym) -> _Terms:
+    def derive(jsym: Sym) -> _Terms:
         orders = jsym.orders
         if not any(orders):
             return bases[jsym.index]
         j = next(i for i, n in enumerate(orders) if n)
         lower = tuple(n - 1 if i == j else n for i, n in enumerate(orders))
-        return total_derivative(terms(jet(jsym.index, lower)), j)
+        return total_derivative(derive(jet(jsym.index, lower)), j)
 
-    derive = cache(lambda jsym: _build(terms(jsym)))
-    derive.terms = terms
     return derive
 
 
-def total_derivative(e: Expr | _Terms, space_index: int) -> Expr | _Terms:
-    """Total space derivative on jet expressions:
+def total_derivative(e: _Terms, space_index: int) -> _Terms:
+    """Total space derivative on jet expressions in term form:
     D_{x_j} e = de/dx_j + sum over jets of Jet(k, alpha+e_j) * de/dJet(k, alpha),
-    the derivation sending x_j to 1 and each jet to its bumped jet.  A tree
-    gives a tree, and a term dict (``expr``'s internal form) a term dict.
+    the derivation sending x_j to 1 and each jet to its bumped jet.
     """
     def rule(s: Sym) -> _Terms:
         if s.kind == SymbolKind.JET:
             up = tuple(k + 1 if i == space_index else k
                        for i, k in enumerate(s.orders))
-            return {((jet(s.index, up), 1),): Fraction(1)}
-        return {(): Fraction(1)} if s == space_var(space_index) else {}
+            return _terms(jet(s.index, up))
+        return _terms(ONE) if s == space_var(space_index) else {}
 
-    if isinstance(e, Expr):
-        return _build(_derive(_terms(e), rule))
     return _derive(e, rule)
 
 
@@ -155,11 +151,20 @@ class SeriesSolution:
         return tuple(tuple(map(_terms, column)) for column in self.coeffs)
 
     @cached_property
-    def jet_tables(self) -> list[Callable[[Sym], Expr]]:
+    def jet_tables(self) -> list[Callable[[Sym], _Terms]]:
         """Memoized D_x^alpha C_{k,n} per order n, shared by every check of
         this series; ``_jet_series`` extends it as far as a check needs.
         """
         return []
+
+    def for_problem(self, problem: ProblemSpec) -> SeriesSolution:
+        """This series as a solution of another problem of the same shape,
+        sharing the term dicts and jet tables, which depend on the
+        coefficients alone.
+        """
+        other = replace(self, problem=problem)
+        vars(other).update(terms=self.terms, jet_tables=self.jet_tables)
+        return other
 
 
 def apply_series_to_function(g: Generator, G: Expr, order: int,
@@ -239,7 +244,7 @@ def initial_jet_bindings(sol: SeriesSolution, initial_exprs: list[Expr],
     for k in range(problem.n_fields):
         needed.add(problem.jet_symbol(k))
     derive = jet_derivatives([_terms(e) for e in initial_exprs])
-    derived = [(jsym, derive(jsym)) for jsym in needed]
+    derived = [(jsym, _build(derive(jsym))) for jsym in needed]
     binds = []
     for space_values in points:
         bind = {space_var(j): value for j, value in enumerate(space_values)}
@@ -273,7 +278,7 @@ def _jet_series(sol: SeriesSolution,
     tables += [jet_derivatives([column[n] for column in sol.terms])
                for n in range(len(tables), count)]
     tables = tables[:count]
-    return lambda jsym: [derive.terms(jsym) for derive in tables]
+    return lambda jsym: [derive(jsym) for derive in tables]
 
 
 @dataclass(frozen=True)
@@ -300,8 +305,8 @@ def residual_check(sol: SeriesSolution,
 
     The residual d/dt(series) + F(t, x, series, jets-of-series) must have
     exactly-zero coefficients of (t-a)^n for n < sol.order.  A series is
-    checked against another problem of the same shape by replacing its
-    ``problem``.
+    checked against another problem of the same shape through
+    ``sol.for_problem``.
     """
     problem = sol.problem
     jet_series = _jet_series(sol, sol.order)
@@ -316,8 +321,7 @@ def residual_check(sol: SeriesSolution,
     failing_order, _, failing_field = min(
         ((n + 1, i, problem.field_names[i])
          for i, forcing in enumerate(forcings) for n, f_n in enumerate(forcing)
-         if f_n != {mono: -(n + 1) * c
-                    for mono, c in sol.terms[i][n + 1].items()}),
+         if f_n != _scaled(-(n + 1), sol.terms[i][n + 1])),
         default=(None, None, None))
     return ResidualReport(
         field_names=problem.field_names,

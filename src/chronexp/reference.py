@@ -19,6 +19,7 @@ from .expr import (
     Sym,
     TIME,
     ZERO,
+    _build,
     _terms,
     diff,
     eval_num,
@@ -130,8 +131,9 @@ def _entry_defining_residual(entry: CatalogEntry) -> None:
     """Substitute the exact solution into du/dt + F = 0; exact-zero check."""
     p = entry.problem
     exact_jet = jet_derivatives([_terms(e) for e in entry.exact])
+    replacement = {jsym: _build(exact_jet(jsym))
+                   for jsym in set().union(*map(jets_of, p.rhs))}
     for i in range(p.n_fields):
-        replacement = {jsym: exact_jet(jsym) for jsym in jets_of(p.rhs[i])}
         residual = normalize(Add((
             diff(entry.exact[i], TIME),
             subst_many(p.rhs[i], replacement))))
@@ -336,15 +338,3 @@ def _reference(entry: CatalogEntry, t: float, a_value: float,
     if entry.exact_kind == "characteristics":
         return [characteristic_value(entry.initial_exprs[0], x, t - a_value)]
     raise ValueError(f"no reference for kind '{entry.exact_kind}'")
-
-
-def convergence_slope(offsets: list[float], errors: list[float]) -> float:
-    """Least-squares slope of log error against log offset."""
-    pairs = [(dt, err) for dt, err in zip(offsets, errors) if err > 0.0]
-    if len(pairs) < 2:
-        raise ValueError("need at least two nonzero errors for a slope")
-    import numpy as np
-
-    xs = np.log([dt for dt, _ in pairs])
-    ys = np.log([err for _, err in pairs])
-    return float(np.polyfit(xs, ys, 1)[0])

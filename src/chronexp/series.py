@@ -27,7 +27,7 @@ homomorphism oracles rest on it independently of the Lie series.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ExpressionBlowup, NonPolynomialRhs
 from .expr import (
@@ -42,10 +42,11 @@ from .expr import (
     Sym,
     TIME,
     _Terms,
-    _add_terms,
     _build,
     _mul_terms,
     _pow_terms,
+    _scaled,
+    _sum,
     _terms,
     normalize,
 )
@@ -74,17 +75,6 @@ class _Series:
                     f"series coefficient exceeds {self.term_budget} monomials")
             self.known.append(terms)
         return self.known[n]
-
-
-def _sum(parts: Iterable[_Terms]) -> _Terms:
-    acc: _Terms = {}
-    for part in parts:
-        _add_terms(acc, part)
-    return acc
-
-
-def _scaled(factor: Fraction, terms: _Terms) -> _Terms:
-    return _mul_terms({(): factor}, terms)
 
 
 def _cauchy(out: _Series, a: _Series, b: _Series) -> None:

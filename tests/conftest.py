@@ -36,15 +36,24 @@ def heat():
     return load_fixture("heat")
 
 
+def perturbed(sol, field, order, delta):
+    """sol with the rational delta added to coefficient ``order`` of field
+    ``field``, the shape of a wrong solve.
+    """
+    coeffs = [list(column) for column in sol.coeffs]
+    coeffs[field][order] = normalize(Add((coeffs[field][order],
+                                          Const(delta))))
+    return dataclasses.replace(
+        sol, coeffs=tuple(tuple(column) for column in coeffs))
+
+
 @pytest.fixture
 def broken_riccati():
     """The riccati series at order 5 with 1 added to its order-3
-    coefficient, the shape of a wrong solve.
+    coefficient.
     """
     sol = lie_coefficients(build_generator(load_fixture("riccati")), 5)
-    column = list(sol.coeffs[0])
-    column[3] = normalize(Add((column[3], Const(Fraction(1)))))
-    return dataclasses.replace(sol, coeffs=(tuple(column),))
+    return perturbed(sol, 0, 3, Fraction(1))
 
 
 def random_expr(rng: random.Random, symbols, depth: int = 3) -> Expr:

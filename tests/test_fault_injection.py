@@ -6,8 +6,6 @@ order, and so must the integral form on ode and system problems; the
 homomorphism check must fail at that order.
 """
 
-import dataclasses
-
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,8 +13,6 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chronexp import (  # noqa: E402
-    Add,
-    Const,
     Mul,
     build_generator,
     catalog,
@@ -26,6 +22,8 @@ from chronexp import (  # noqa: E402
     normalize,
     residual_check,
 )
+
+from conftest import perturbed  # noqa: E402
 
 ORDER = 4
 SOLVED = {entry.name: lie_coefficients(build_generator(entry.problem), ORDER)
@@ -41,14 +39,6 @@ def faults(draw):
     delta = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7)
                  .filter(bool))
     return name, field, order, delta
-
-
-def perturbed(sol, field, order, delta):
-    coeffs = [list(column) for column in sol.coeffs]
-    coeffs[field][order] = normalize(Add((coeffs[field][order],
-                                          Const(delta))))
-    return dataclasses.replace(
-        sol, coeffs=tuple(tuple(column) for column in coeffs))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,

@@ -38,7 +38,7 @@ from chronexp import (
     total_derivative,
 )
 from chronexp import lie
-from chronexp.expr import _terms
+from chronexp.expr import _build, _terms
 from chronexp.lie import jet_derivatives
 from chronexp.series import polynomial
 
@@ -121,27 +121,27 @@ class TestTotalDerivative:
         p = load_fixture("burgers")
         e = normalize(parse_expression("c*c_x", p))
         want = normalize(parse_expression("c_x^2 + c*c_xx", p))
-        assert total_derivative(e, 0) == want
+        assert total_derivative(_terms(e), 0) == _terms(want)
 
     def test_explicit_space_dependence(self):
         x = space_var(0)
         c = jet(0, (0,))
         e = normalize(Mul((x, c)))
         want = normalize(Add((c, Mul((x, jet(0, (1,)))))))
-        assert total_derivative(e, 0) == want
+        assert total_derivative(_terms(e), 0) == _terms(want)
 
     def test_chain_through_functions(self):
         x = space_var(0)
         from chronexp import Func
-        assert total_derivative(normalize(Func("sin", x)), 0) == \
-            normalize(Func("cos", x))
+        assert total_derivative(_terms(Func("sin", x)), 0) == \
+            _terms(Func("cos", x))
 
     def test_against_finite_differences(self):
         # Bind jets to derivatives of sin at x; D_x then equals d/dx of
         # the substituted profile.
         p = load_fixture("burgers")
         e = normalize(parse_expression("c*c_x + x*c_xx^2", p.context()))
-        d = total_derivative(e, 0)
+        d = _build(total_derivative(_terms(e), 0))
         x = space_var(0)
 
         def profile(x0: float) -> dict:
@@ -323,7 +323,7 @@ def per_point_bindings(sol, initial_exprs, space_values):
             needed |= jets_of(coeff)
     derive = jet_derivatives([_terms(e) for e in initial_exprs])
     for jsym in needed:
-        bind[jsym] = eval_num(derive(jsym), bind)
+        bind[jsym] = eval_num(_build(derive(jsym)), bind)
     return bind
 
 
@@ -479,6 +479,40 @@ class TestSharedJetTables:
         assert residual_check(broken).failing_order == 3
         assert check_homomorphism(broken, G, 4).failing_order == 3
         assert residual_check(sol).passed
+
+    @pytest.mark.parametrize("solved,rhs,against", [
+        ("corrupt/riccati", None, "riccati"),
+        ("burgers", "2*u*u_x", "burgers"),
+    ])
+    def test_for_problem_shares_the_tables(self, monkeypatch, solved, rhs,
+                                           against):
+        doc = json.loads((FIXTURES / f"{solved}.json").read_text())
+        if rhs is not None:
+            doc["rhs"] = {"u": rhs}
+        sol = lie_coefficients(build_generator(parse_problem(json.dumps(doc))),
+                               5)
+        p = load_fixture(against)
+        assert residual_check(sol).passed
+
+        def counted_check(other):
+            calls = []
+
+            def counted(e, space_index):
+                calls.append(space_index)
+                return total_derivative(e, space_index)
+
+            monkeypatch.setattr(lie, "total_derivative", counted)
+            report = residual_check(other)
+            monkeypatch.undo()
+            return report, len(calls)
+
+        shared, shared_calls = counted_check(sol.for_problem(p))
+        replaced, replaced_calls = counted_check(
+            dataclasses.replace(sol, problem=p))
+        assert shared == replaced
+        assert not shared.passed
+        assert shared_calls == 0
+        assert (replaced_calls > 0) == (p.kind == "pde")
 
 
 # ---------------------------------------------------------------------------
