@@ -353,8 +353,6 @@ def _homomorphism_cases(entry: CatalogEntry) -> list[tuple[str, Expr]]:
     p = entry.problem
     G = _product_test_function(p)
     if p.kind == "pde":
-        if entry.name not in ("heat", "burgers"):
-            return []
         return [(render(G, p), G)]
     alias = p.initial_alias(0)
     return [(f"{alias}^2", G),

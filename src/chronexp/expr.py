@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import cache
-from typing import Callable, Iterable, Mapping
+from functools import cache, partial
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DivisionByZero,
@@ -270,17 +270,23 @@ def _add_terms(acc: _Terms, extra: _Terms) -> None:
             acc.pop(mono, None)
 
 
-def _mul_terms(a: _Terms, b: _Terms) -> _Terms:
-    out: _Terms = {}
+def _mul_add(acc: _Terms, a: _Terms, b: _Terms, scale=1) -> _Terms:
+    """acc += scale*a*b in place, acc being neither a nor b; returns acc."""
     for mono_a, ca in a.items():
+        if scale != 1:
+            ca *= scale
         for mono_b, cb in b.items():
             mono = _merge_monos(mono_a, mono_b)
-            total = out.get(mono, Fraction(0)) + ca * cb
+            total = acc.get(mono, 0) + ca * cb
             if total:
-                out[mono] = total
+                acc[mono] = total
             else:
-                out.pop(mono, None)
-    return out
+                acc.pop(mono, None)
+    return acc
+
+
+def _mul_terms(a: _Terms, b: _Terms) -> _Terms:
+    return _mul_add({}, a, b)
 
 
 def _sum(parts: Iterable[_Terms]) -> _Terms:
@@ -291,7 +297,7 @@ def _sum(parts: Iterable[_Terms]) -> _Terms:
 
 
 def _scaled(factor: Fraction, terms: _Terms) -> _Terms:
-    return _mul_terms({(): factor}, terms)
+    return _mul_add({}, {(): factor}, terms)
 
 
 def _pow_terms(base: _Terms, n: int) -> _Terms:
@@ -421,7 +427,7 @@ def _derive(terms: _Terms, rule: Callable[[Sym], _Terms]) -> _Terms:
                 if d:
                     lowered = ((atom, k - 1),) if k != 1 else ()
                     rest = mono[:i] + lowered + mono[i + 1:]
-                    _add_terms(out, _mul_terms({rest: coeff * k}, d))
+                    _mul_add(out, {rest: coeff * k}, d)
         return out
 
     return of_terms(terms)
@@ -471,6 +477,29 @@ def subst_many(e: Expr, mapping: Mapping[Sym, Expr]) -> Expr:
 # Numeric evaluation
 # ---------------------------------------------------------------------------
 
+def _fsum_num(values) -> float:
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):  # a partial sum or inf - inf
+        raise NonFiniteValue("a sum overflows a double") from None
+
+
+def _pow_num(base: float, exponent: int) -> float:
+    if base == 0.0 and exponent < 0:
+        raise DomainError("zero raised to a negative power")
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise NonFiniteValue("a power overflows a double") from None
+
+
+def _func_num(name: str, x: float) -> float:
+    try:
+        return ELEMENTARY[name].numeric(x)
+    except (OverflowError, ValueError):
+        raise NonFiniteValue(f"{name}({x}) is not finite") from None
+
+
 def eval_num(e: Expr, bindings: Mapping[Sym, float]) -> float:
     """IEEE-double evaluation; every symbol in ``e`` must be bound."""
     if isinstance(e, Const):
@@ -484,30 +513,82 @@ def eval_num(e: Expr, bindings: Mapping[Sym, float]) -> float:
         except KeyError:
             raise UnboundSymbol(f"no binding for {e}") from None
     if isinstance(e, Add):
-        try:
-            return math.fsum([eval_num(t, bindings) for t in e.terms])
-        except (OverflowError, ValueError):  # a partial sum or inf - inf
-            raise NonFiniteValue("a sum overflows a double") from None
+        return _fsum_num([eval_num(t, bindings) for t in e.terms])
     if isinstance(e, Mul):
         out = 1.0
         for f in e.factors:
             out *= eval_num(f, bindings)
         return out
     if isinstance(e, Pow):
-        base = eval_num(e.base, bindings)
-        if base == 0.0 and e.exponent < 0:
-            raise DomainError("zero raised to a negative power")
-        try:
-            return base ** e.exponent
-        except OverflowError:
-            raise NonFiniteValue("a power overflows a double") from None
+        return _pow_num(eval_num(e.base, bindings), e.exponent)
     if isinstance(e, Func):
-        x = eval_num(e.arg, bindings)
-        try:
-            return ELEMENTARY[e.name].numeric(x)
-        except (OverflowError, ValueError):
-            raise NonFiniteValue(f"{e.name}({x}) is not finite") from None
+        return _func_num(e.name, eval_num(e.arg, bindings))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def compile_num(roots: Sequence[Expr],
+                params: Sequence[Sym]) -> Callable[..., list[float]]:
+    """One generated function f with f(*values) equal to
+    [eval_num(e, dict(zip(params, values))) for e in roots], float for
+    float, and raising the error eval_num raises where it raises it.
+
+    The source holds one assignment per distinct node, in eval_num's order
+    (so nesting depth does not reach Python's parser), and generated names
+    only: constants, unbound symbols and function names are bound in its
+    namespace, so no input text reaches ``exec``.  It is ``f.source``.
+    """
+    env = {"_fsum": _fsum_num, "_pow": _pow_num, "_func": _func_num}
+    slots = {s: f"p{i}" for i, s in enumerate(params)}
+    lines: list[str] = []
+    names: dict[Expr, str] = {}
+
+    def bind(value) -> str:
+        name = f"k{len(env)}"
+        env[name] = value
+        return name
+
+    def emit(text: str) -> str:
+        name = f"v{len(lines)}"
+        lines.append(f"    {name} = {text}\n")
+        return name
+
+    def late(node: Expr) -> str:
+        # eval_num's own error, raised when evaluation reaches the node
+        return emit(f"{bind(partial(eval_num, node, {}))}()")
+
+    def visit(node: Expr) -> str:
+        name = names.get(node)
+        if name is not None:
+            return name
+        if isinstance(node, Const):
+            try:
+                name = bind(eval_num(node, {}))
+            except NonFiniteValue:
+                name = late(node)
+        elif isinstance(node, Sym):
+            name = (emit(f"float({slots[node]})") if node in slots
+                    else late(node))
+        elif isinstance(node, Add):
+            terms = "".join(visit(t) + ", " for t in node.terms)
+            name = emit(f"_fsum(({terms}))")
+        elif isinstance(node, Mul):
+            name = emit(" * ".join(["1.0", *map(visit, node.factors)]))
+        elif isinstance(node, Pow):
+            name = emit(f"_pow({visit(node.base)}, {bind(node.exponent)})")
+        elif isinstance(node, Func):
+            name = emit(f"_func({bind(node.name)}, {visit(node.arg)})")
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        names[node] = name
+        return name
+
+    result = ", ".join(map(visit, roots))
+    args = ", ".join(f"p{i}" for i in range(len(params)))
+    source = (f"def compiled({args}):\n{''.join(lines)}"
+              f"    return [{result}]\n")
+    exec(compile(source, "<compile_num>", "exec"), env)
+    env["compiled"].source = source
+    return env["compiled"]
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .expr import (
     _build,
     _derive,
     _scaled,
+    _subst,
     _terms,
     diff,
     eval_num,
@@ -44,7 +45,6 @@ from .expr import (
     jets_of,
     normalize,
     space_var,
-    subst,
     symbols_of,
     term_count,
 )
@@ -167,14 +167,11 @@ class SeriesSolution:
         return other
 
 
-def apply_series_to_function(g: Generator, G: Expr, order: int,
-                             term_budget: int = DEFAULT_TERM_BUDGET) -> list[Expr]:
-    """Lie series seeded with an arbitrary jet expression G:
-    [(-1)^n/n! A^n[G] at t=a] for n = 0..order.  Seeding with a bare c_i
-    gives the corresponding lie_coefficients column.
-    """
+def _lie_terms(g: Generator, G: Expr, order: int,
+               term_budget: int) -> list[_Terms]:
+    """apply_series_to_function's coefficients as term dicts."""
     point = g.problem.initial_time
-    out: list[Expr] = []
+    out: list[_Terms] = []
     current = normalize(G)
     sign = Fraction(1)
     for n in range(order + 1):
@@ -182,23 +179,35 @@ def apply_series_to_function(g: Generator, G: Expr, order: int,
             raise ExpressionBlowup(
                 f"series term at order {n} exceeds {term_budget} monomials")
         scaled = Mul((Const(sign / math.factorial(n)), current))
-        out.append(subst(scaled, TIME, point))
+        out.append(_terms(_subst(scaled, {TIME: point})))
         if n < order:
             current = apply_generator(g, current)
             sign = -sign
     return out
 
 
+def apply_series_to_function(g: Generator, G: Expr, order: int,
+                             term_budget: int = DEFAULT_TERM_BUDGET) -> list[Expr]:
+    """Lie series seeded with an arbitrary jet expression G:
+    [(-1)^n/n! A^n[G] at t=a] for n = 0..order.  Seeding with a bare c_i
+    gives the corresponding lie_coefficients column.
+    """
+    return [_build(c) for c in _lie_terms(g, G, order, term_budget)]
+
+
 def lie_coefficients(g: Generator, order: int,
                      term_budget: int = DEFAULT_TERM_BUDGET) -> SeriesSolution:
-    """Truncated Lie-series solution for every field of g's problem."""
-    columns = []
-    for i in range(g.problem.n_fields):
-        seed = g.problem.jet_symbol(i)
-        columns.append(tuple(
-            apply_series_to_function(g, seed, order, term_budget)))
-    return SeriesSolution(problem=g.problem, order=order,
-                          coeffs=tuple(columns))
+    """Truncated Lie-series solution for every field of g's problem.  The
+    loop's term dicts become the solution's ``terms``, so the checks do
+    not expand the printed coefficients again.
+    """
+    seeds = map(g.problem.jet_symbol, range(g.problem.n_fields))
+    terms = tuple(tuple(_lie_terms(g, seed, order, term_budget))
+                  for seed in seeds)
+    sol = SeriesSolution(problem=g.problem, order=order, coeffs=tuple(
+        tuple(map(_build, column)) for column in terms))
+    vars(sol)["terms"] = terms
+    return sol
 
 
 def eval_series(sol: SeriesSolution, t_values: Sequence[float],
@@ -357,17 +366,16 @@ class HomomorphismReport:
 def check_homomorphism(sol: SeriesSolution, G: Expr, order: int,
                        term_budget: int = DEFAULT_TERM_BUDGET) -> HomomorphismReport:
     """Compare the Lie series seeded with G against G composed with the
-    solved per-jet series, order by order, as exact trees.
+    solved per-jet series, order by order, as exact term dicts.
     """
     if order > sol.order:
         raise ValueError(f"order {order} exceeds the series order {sol.order}")
     G = normalize(G)
-    lhs = apply_series_to_function(build_generator(sol.problem), G, order,
-                                   term_budget)
+    lhs = _lie_terms(build_generator(sol.problem), G, order, term_budget)
     jet_series = _jet_series(sol, order + 1)
     rhs = compose_terms([G], {jsym: jet_series(jsym) for jsym in jets_of(G)},
                         order, term_budget=term_budget)[0]
-    equal = tuple(_terms(l) == r for l, r in zip(lhs, rhs))
+    equal = tuple(l == r for l, r in zip(lhs, rhs))
     failing = next((n for n, ok in enumerate(equal) if not ok), None)
     return HomomorphismReport(
         order=order,

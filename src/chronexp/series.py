@@ -15,10 +15,13 @@ Math.* 14 (2005) 99-117, section 2).  Coefficient n of a node depends on
 coefficients 0..n of its children only, so truncation is exact.
 
 Every node keeps its coefficients in ``expr``'s internal term form (monomial
-to rational), the form ``normalize`` works in.  ``compose_terms`` takes and
-returns coefficients in that form, so the oracles compare them as dicts;
-``compose`` is its face for trees.  One call expands several roots over one
-node table, such as every field of a coupled system.
+to rational), the form ``normalize`` works in.  Each sum of products above
+(a Cauchy product, the reciprocal tail, the elementary-function rule) is
+accumulated into one dict by ``expr._mul_add``, with no dict per product.
+``compose_terms`` takes and returns coefficients in that form, so the
+oracles compare them as dicts; ``compose`` is its face for trees.  One call
+expands several roots over one node table, such as every field of a
+coupled system.
 
 This module never sees the generator: the residual, Picard and
 homomorphism oracles rest on it independently of the Lie series.
@@ -43,7 +46,7 @@ from .expr import (
     TIME,
     _Terms,
     _build,
-    _mul_terms,
+    _mul_add,
     _pow_terms,
     _scaled,
     _sum,
@@ -84,7 +87,10 @@ def _cauchy(out: _Series, a: _Series, b: _Series) -> None:
     def step(n: int) -> _Terms:
         lo = 0 if b.degree is None else max(0, n - b.degree)
         hi = n if a.degree is None else min(n, a.degree)
-        return _sum(_mul_terms(a[i], b[n - i]) for i in range(lo, hi + 1))
+        acc: _Terms = {}
+        for i in range(lo, hi + 1):
+            _mul_add(acc, a[i], b[n - i])
+        return acc
     out.step = step
 
 
@@ -94,8 +100,10 @@ def _reciprocal(out: _Series, v: _Series) -> None:
     def step(n: int) -> _Terms:
         if n == 0:
             return _pow_terms(v[0], -1)
-        tail = _sum(_mul_terms(v[k], out[n - k]) for k in range(1, n + 1))
-        return _mul_terms(_scaled(Fraction(-1), out[0]), tail)
+        tail: _Terms = {}
+        for k in range(1, n + 1):
+            _mul_add(tail, v[k], out[n - k])
+        return _mul_add({}, out[0], tail, -1)
     out.step = step
 
 
@@ -177,9 +185,10 @@ def compose_terms(roots: Sequence[Expr],
                 if n == 0:
                     return _terms(Func(node.name, _build(u[0])))
                 top = n if u.degree is None else min(n, u.degree)
-                return _scaled(Fraction(1, n), _sum(
-                    _mul_terms(_scaled(Fraction(k), u[k]), df[n - k])
-                    for k in range(1, top + 1)))
+                acc: _Terms = {}
+                for k in range(1, top + 1):
+                    _mul_add(acc, u[k], df[n - k], Fraction(k, n))
+                return acc
             s.step = step
         else:
             raise TypeError(f"not an expression node: {node!r}")

@@ -468,6 +468,9 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "homomorphism")
         assert code == 0
         assert "G=c^2" in out and "G=c*c_x" in out
+        # every catalog pde is checked, transport included
+        assert ("PASS homomorphism [transport, G=c*c_x]: homomorphism "
+                "exact through order 5\n") in out
 
     def test_all_suite_json(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all",

@@ -5,7 +5,8 @@ covered too: an ode, a two-field system or a pde in u, u_x and u_xx, whose
 right-hand sides combine the fields, t and small integers with + - * ^2 ^3
 sin cos exp.  Each solved series must pass the residual, homomorphism and
 (for odes and systems) integral-form checks; on a system the last shows
-that the Picard fixed point equals the Lie series.  A rational added to one
+that the Picard fixed point equals the Lie series.  The term dicts the
+solver hands those checks must be the dicts of its printed coefficients.  A rational added to one
 coefficient must then be reported by the residual and the integral form at
 exactly that field and order.  A problem whose series outgrows the term
 budget stops with ExpressionBlowup, the budget's documented outcome, and is
@@ -32,6 +33,8 @@ from chronexp import (  # noqa: E402
     parse_problem,
     residual_check,
 )
+
+from chronexp.expr import _terms  # noqa: E402
 
 from conftest import perturbed  # noqa: E402
 
@@ -85,6 +88,9 @@ def test_generated_problems_pass_and_faults_are_named(doc, data):
     G = normalize(Mul((c, c if odelike else p.jet_symbol(0, (1,)))))
     try:
         sol = lie_coefficients(build_generator(p), ORDER, BUDGET)
+        # the loop's term dicts, which the checks read, are the printed ones
+        assert sol.terms == tuple(tuple(map(_terms, column))
+                                  for column in sol.coeffs)
         reports = [residual_check(sol, BUDGET),
                    check_homomorphism(sol, G, ORDER, BUDGET)]
         if odelike:

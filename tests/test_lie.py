@@ -19,6 +19,7 @@ from chronexp import (
     apply_generator,
     apply_series_to_function,
     build_generator,
+    catalog,
     check_homomorphism,
     const,
     eval_num,
@@ -42,7 +43,7 @@ from chronexp.expr import _build, _terms
 from chronexp.lie import jet_derivatives
 from chronexp.series import polynomial
 
-from conftest import FIXTURES, load_fixture, random_expr
+from conftest import FIXTURES, load_fixture, perturbed, random_expr
 
 ALL_FIXTURES = ["exponential", "riccati", "linear_time", "harmonic",
                 "lotka_volterra", "transport", "heat", "burgers"]
@@ -219,6 +220,28 @@ class TestLieCoefficients:
         p = load_fixture("burgers")
         with pytest.raises(ExpressionBlowup):
             lie_coefficients(build_generator(p), 4, term_budget=3)
+
+
+class TestLoopTerms:
+    """lie_coefficients hands the checks the loop's own term dicts.  They
+    must be the dicts of the printed coefficients, so that the checks
+    certify what the user sees.
+    """
+
+    @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+    def test_terms_are_those_of_the_coefficients(self, entry):
+        sol = lie_coefficients(build_generator(entry.problem), 6)
+        assert "terms" in vars(sol)     # handed over, not expanded again
+        assert sol.terms == tuple(tuple(map(_terms, column))
+                                  for column in sol.coeffs)
+
+    def test_replaced_series_reads_its_own_coefficients(self, riccati):
+        sol = lie_coefficients(build_generator(riccati), 5)
+        broken = perturbed(sol, 0, 3, Fraction(1))
+        assert "terms" not in vars(broken)
+        assert broken.terms[0][3] == _terms(broken.coeffs[0][3])
+        assert broken.terms[0][3] != sol.terms[0][3]
+        assert broken.terms[0][:3] == sol.terms[0][:3]
 
 
 # ---------------------------------------------------------------------------
