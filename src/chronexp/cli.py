@@ -11,6 +11,7 @@ resource exhaustion (term budget, unprintable number), 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -57,6 +58,7 @@ from .reference import CatalogEntry, catalog, compare_series_to_reference
 from .render import _format_const
 
 MAX_UNFORCED_ORDER = 12
+MAX_HOMOMORPHISM_ORDER = 5
 CONVERGENCE_STEPS = (1e-1, 5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
 
 
@@ -401,8 +403,9 @@ def _verify_file(args) -> list[dict]:
             # Same rhs: the self-check.
             cross = res
             if match.problem.rhs != problem.rhs:
-                cross = residual_check(sol.for_problem(match.problem),
-                                       args.term_budget)
+                cross = residual_check(
+                    dataclasses.replace(sol, problem=match.problem),
+                    args.term_budget)
             reports.append(_report(
                 f"defining equation [vs catalog {stem}]", cross.passed,
                 cross.summary()))
@@ -417,7 +420,8 @@ def _verify_file(args) -> list[dict]:
                                equiv.summary()))
 
     hom = check_homomorphism(sol, _product_test_function(problem),
-                             min(order, 5), args.term_budget)
+                             min(order, MAX_HOMOMORPHISM_ORDER),
+                             args.term_budget)
     reports.append(_report("homomorphism", hom.passed, hom.summary()))
     return reports
 
@@ -434,7 +438,8 @@ def cmd_verify(args) -> int:
         order = _verify_order(args, 6)
         # One solve per catalog entry serves both series suites; the
         # homomorphism suite alone needs only its own lower order.
-        solve_order = order if suite in ("catalog", "all") else min(order, 5)
+        hom_order = min(order, MAX_HOMOMORPHISM_ORDER)
+        solve_order = order if suite in ("catalog", "all") else hom_order
         solved = [] if suite == "dyson" else [
             (entry, lie_coefficients(build_generator(entry.problem),
                                      solve_order, args.term_budget))
@@ -445,7 +450,7 @@ def cmd_verify(args) -> int:
         if suite in ("dyson", "all"):
             reports += _verify_dyson(args.seed)
         if suite in ("homomorphism", "all"):
-            reports += _verify_homomorphism(solved, min(order, 5),
+            reports += _verify_homomorphism(solved, hom_order,
                                             args.term_budget)
 
     failed = [r for r in reports if not r["passed"]]

@@ -18,7 +18,7 @@ prolongation over exactly the jets present in the operand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
@@ -150,22 +150,6 @@ class SeriesSolution:
         """The coefficients as term dicts, shared by every check."""
         return tuple(tuple(map(_terms, column)) for column in self.coeffs)
 
-    @cached_property
-    def jet_tables(self) -> list[Callable[[Sym], _Terms]]:
-        """Memoized D_x^alpha C_{k,n} per order n, shared by every check of
-        this series; ``_jet_series`` extends it as far as a check needs.
-        """
-        return []
-
-    def for_problem(self, problem: ProblemSpec) -> SeriesSolution:
-        """This series as a solution of another problem of the same shape,
-        sharing the term dicts and jet tables, which depend on the
-        coefficients alone.
-        """
-        other = replace(self, problem=problem)
-        vars(other).update(terms=self.terms, jet_tables=self.jet_tables)
-        return other
-
 
 def _lie_terms(g: Generator, G: Expr, order: int,
                term_budget: int) -> list[_Terms]:
@@ -280,13 +264,10 @@ def _jet_series(sol: SeriesSolution,
     in term form.
 
     D_x^alpha acts on the series coefficient by coefficient, so coefficient
-    n of jet (k, alpha) is D_x^alpha C_{k,n}: one memoized table per order,
-    kept on the solution.
+    n of jet (k, alpha) is D_x^alpha C_{k,n}: one memoized table per order.
     """
-    tables = sol.jet_tables
-    tables += [jet_derivatives([column[n] for column in sol.terms])
-               for n in range(len(tables), count)]
-    tables = tables[:count]
+    tables = [jet_derivatives([column[n] for column in sol.terms])
+              for n in range(count)]
     return lambda jsym: [derive(jsym) for derive in tables]
 
 
@@ -314,8 +295,8 @@ def residual_check(sol: SeriesSolution,
 
     The residual d/dt(series) + F(t, x, series, jets-of-series) must have
     exactly-zero coefficients of (t-a)^n for n < sol.order.  A series is
-    checked against another problem of the same shape through
-    ``sol.for_problem``.
+    checked against another problem of the same shape as
+    ``residual_check(dataclasses.replace(sol, problem=other))``.
     """
     problem = sol.problem
     jet_series = _jet_series(sol, sol.order)

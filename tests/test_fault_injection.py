@@ -3,7 +3,8 @@
 A rational added to one coefficient of a solved catalog series is the shape
 of a wrong solve.  The residual must name exactly the perturbed field and
 order, and so must the integral form on ode and system problems; the
-homomorphism check must fail at that order.
+homomorphism check must fail at that order.  A wrong pde prolongation is
+caught by the numeric route alone (see its test).
 """
 
 import pytest
@@ -14,14 +15,19 @@ from hypothesis import strategies as st  # noqa: E402
 
 from chronexp import (  # noqa: E402
     Mul,
+    SymbolKind,
     build_generator,
     catalog,
     check_homomorphism,
     chron_equiv_check,
+    jet,
+    lie,
     lie_coefficients,
     normalize,
     residual_check,
 )
+from chronexp.cli import main  # noqa: E402
+from chronexp.expr import _derive, _terms  # noqa: E402
 
 from conftest import perturbed  # noqa: E402
 
@@ -66,3 +72,37 @@ def test_every_exact_route_finds_the_fault(fault):
     homomorphism = check_homomorphism(broken, G, ORDER)
     assert not homomorphism.passed
     assert homomorphism.failing_order == order
+
+
+def test_wrong_prolongation_fails_the_reference_comparison(capsys,
+                                                           monkeypatch):
+    """A total derivative that forgets x_j -> 1 fails the catalog reference
+    comparison on heat, transport and burgers.
+
+    The exact routes stay green: the solve, the residual's jet series and
+    the homomorphism check's compose side all derive jets through the same
+    lie.total_derivative, so they agree with each other however wrong it
+    is (and no catalog pde rhs or coefficient has an explicit x).  Only
+    the reference comparison sees the fault, because initial_jet_bindings
+    derives the jets of the initial functions, sin(x) and the like, through
+    it and the series is evaluated on the wrong initial data.
+    """
+    def forgets_x(e, space_index):
+        def rule(s):
+            if s.kind != SymbolKind.JET:
+                return {}
+            up = tuple(k + 1 if i == space_index else k
+                       for i, k in enumerate(s.orders))
+            return _terms(jet(s.index, up))
+
+        return _derive(e, rule)
+
+    catalog()   # its closed forms are checked once, with the true rule
+    monkeypatch.setattr(lie, "total_derivative", forgets_x)
+    assert main(["verify", "--suite", "catalog"]) == 3
+    assert main(["verify", "--suite", "homomorphism"]) == 0
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in failed] == [
+        f"FAIL reference comparison [{name}]"
+        for name in ("transport", "heat", "burgers")]

@@ -11,6 +11,11 @@ coefficient must then be reported by the residual and the integral form at
 exactly that field and order.  A problem whose series outgrows the term
 budget stops with ExpressionBlowup, the budget's documented outcome, and is
 discarded rather than counted as a pass.
+
+Generated odes and systems also go through the numeric route: the series
+evaluated a small step from the initial time must agree with RK4 to within
+a tolerance that scales as |t - a|^(N+1).  Besides ExpressionBlowup, the
+only discard there is RK4's NonFiniteValue, its documented blow-up.
 """
 
 import json
@@ -25,13 +30,17 @@ from hypothesis import strategies as st  # noqa: E402
 from chronexp import (  # noqa: E402
     ExpressionBlowup,
     Mul,
+    NonFiniteValue,
     build_generator,
     check_homomorphism,
     chron_equiv_check,
+    eval_num,
+    eval_series,
     lie_coefficients,
     normalize,
     parse_problem,
     residual_check,
+    rk4_solve,
 )
 
 from chronexp.expr import _terms  # noqa: E402
@@ -58,8 +67,8 @@ def rhs_texts(names):
 
 
 @st.composite
-def documents(draw):
-    kind = draw(st.sampled_from(sorted(NAMES)))
+def documents(draw, kinds=tuple(sorted(NAMES))):
+    kind = draw(st.sampled_from(kinds))
     fields = ["u", "v"] if kind == "system" else ["u"]
     doc = {"kind": kind, "time": {"name": "t", "initial": "0"},
            "fields": fields,
@@ -107,3 +116,35 @@ def test_generated_problems_pass_and_faults_are_named(doc, data):
     if odelike:
         equiv = chron_equiv_check(broken, BUDGET)
         assert (equiv.failing_field, equiv.failing_order) == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=documents(("ode", "system")),
+       initial=st.lists(st.sampled_from([-0.5, -0.25, 0.25, 0.5]),
+                        min_size=2, max_size=2))
+def test_generated_series_agree_with_rk4(doc, initial):
+    p = parse_problem(json.dumps(doc))
+    initial = initial[:p.n_fields]
+    bind = {p.jet_symbol(i): v for i, v in enumerate(initial)}
+    try:
+        sol = lie_coefficients(build_generator(p), ORDER, BUDGET)
+        rk4_solve(p, initial, 0.0, steps=1)
+    except (ExpressionBlowup, NonFiniteValue):
+        reject()   # past the budget, or F is not finite at the initial data
+    # Cauchy-Hadamard: coefficient n grows like rho^n, with rho estimated
+    # from the solved coefficients, so at |h| = 0.01 / rho the remainder
+    # past order N is about max(1, |u(a)|) * (rho*|h|)^(N+1).  The factor 20
+    # covers rho's underestimate when four coefficients are all it sees.
+    rho = max([1.0] + [abs(eval_num(c, bind)) ** (1 / n)
+                       for column in sol.coeffs
+                       for n, c in enumerate(column) if n])
+    scale = 20 * max([1.0] + [abs(v) for v in initial])
+    for h in (0.01 / rho, -0.01 / rho):
+        try:
+            want = rk4_solve(p, initial, h, steps=16)
+        except NonFiniteValue:
+            reject()
+        got = eval_series(sol, [h], bind)[0]
+        tol = scale * (rho * abs(h)) ** (ORDER + 1)
+        assert all(abs(g - w) <= tol for g, w in zip(got, want)), (h, got, want)

@@ -153,11 +153,10 @@ def test_every_private_module_name_is_read():
             if name not in read] == []
 
 
-def test_term_dicts_and_jet_tables_have_one_owner():
+def test_term_dicts_have_one_owner():
     # expr alone spells out the term-dict layout (monomial tuple ->
-    # rational), so a change of that layout touches one module; lie alone
-    # keeps the jet tables of a series.
-    tuple_keyed, jet_tables = [], []
+    # rational), so a change of that layout touches one module.
+    tuple_keyed = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
@@ -166,6 +165,4 @@ def test_term_dicts_and_jet_tables_have_one_owner():
             if path.name != "expr.py" and any(
                     isinstance(key, ast.Tuple) for key in keys):
                 tuple_keyed.append(f"{path.name}:{node.lineno}")
-        if "jet_tables" in names_used(tree):
-            jet_tables.append(path.name)
-    assert (tuple_keyed, jet_tables) == ([], ["lie.py"])
+    assert tuple_keyed == []

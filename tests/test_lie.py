@@ -38,7 +38,6 @@ from chronexp import (
     taylor_coefficients,
     total_derivative,
 )
-from chronexp import lie
 from chronexp.expr import _build, _terms
 from chronexp.lie import jet_derivatives
 from chronexp.series import polynomial
@@ -465,30 +464,9 @@ class TestFunctionSeries:
 
 
 class TestSharedJetTables:
-    """residual_check and check_homomorphism read D_x^alpha C_{k,n} from
-    tables kept on the solution, so the second check derives none afresh.
+    """residual_check and check_homomorphism derive the jet tables
+    D_x^alpha C_{k,n} from the coefficients of the series they are given.
     """
-
-    def counted_checks(self, monkeypatch, first, second):
-        calls = []
-
-        def counted(e, space_index):
-            calls.append(space_index)
-            return total_derivative(e, space_index)
-
-        G = normalize(parse_expression("c*c_x", first.problem))
-        monkeypatch.setattr(lie, "total_derivative", counted)
-        assert residual_check(first).passed
-        assert check_homomorphism(second, G, 4).passed
-        monkeypatch.undo()
-        return len(calls)
-
-    def test_second_check_reuses_tables(self, monkeypatch):
-        p = load_fixture("burgers")
-        sols = [lie_coefficients(build_generator(p), 4) for _ in range(3)]
-        shared = self.counted_checks(monkeypatch, sols[0], sols[0])
-        separate = self.counted_checks(monkeypatch, sols[1], sols[2])
-        assert shared < separate
 
     def test_replaced_series_derives_its_own(self):
         p = load_fixture("burgers")
@@ -502,40 +480,6 @@ class TestSharedJetTables:
         assert residual_check(broken).failing_order == 3
         assert check_homomorphism(broken, G, 4).failing_order == 3
         assert residual_check(sol).passed
-
-    @pytest.mark.parametrize("solved,rhs,against", [
-        ("corrupt/riccati", None, "riccati"),
-        ("burgers", "2*u*u_x", "burgers"),
-    ])
-    def test_for_problem_shares_the_tables(self, monkeypatch, solved, rhs,
-                                           against):
-        doc = json.loads((FIXTURES / f"{solved}.json").read_text())
-        if rhs is not None:
-            doc["rhs"] = {"u": rhs}
-        sol = lie_coefficients(build_generator(parse_problem(json.dumps(doc))),
-                               5)
-        p = load_fixture(against)
-        assert residual_check(sol).passed
-
-        def counted_check(other):
-            calls = []
-
-            def counted(e, space_index):
-                calls.append(space_index)
-                return total_derivative(e, space_index)
-
-            monkeypatch.setattr(lie, "total_derivative", counted)
-            report = residual_check(other)
-            monkeypatch.undo()
-            return report, len(calls)
-
-        shared, shared_calls = counted_check(sol.for_problem(p))
-        replaced, replaced_calls = counted_check(
-            dataclasses.replace(sol, problem=p))
-        assert shared == replaced
-        assert not shared.passed
-        assert shared_calls == 0
-        assert (replaced_calls > 0) == (p.kind == "pde")
 
 
 # ---------------------------------------------------------------------------
