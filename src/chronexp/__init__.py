@@ -58,10 +58,9 @@ from .parser import (
     parse_problem,
     render,
 )
+from .series import OrderCheck
 from .lie import (
     Generator,
-    HomomorphismReport,
-    ResidualReport,
     SeriesSolution,
     apply_generator,
     apply_series_to_function,
@@ -75,7 +74,6 @@ from .lie import (
     total_derivative,
 )
 from .dyson import (
-    EquivalenceReport,
     InverseIdentityReport,
     MatrixPath,
     airy_path,

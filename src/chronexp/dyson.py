@@ -35,7 +35,7 @@ from .expr import (
 )
 from .lie import DEFAULT_TERM_BUDGET, SeriesSolution
 from .parser import ProblemSpec
-from .series import compose_terms, polynomial
+from .series import OrderCheck, compose_terms, polynomial
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,52 +85,25 @@ def picard_iterate(p: ProblemSpec, k: int) -> tuple[Expr, ...]:
 # Equivalence of the two solution forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Per-order exact agreement of the Picard (chronological) route and
-    the Lie-series (ordinary-exponent) route.
-    """
-
-    field_names: tuple[str, ...]
-    order: int
-    orders_equal: tuple[tuple[bool, ...], ...]   # [field][n]
-    passed: bool
-    failing_field: str | None
-    failing_order: int | None
-
-    def summary(self) -> str:
-        if self.passed:
-            return (f"chronological and exponential series agree exactly "
-                    f"through order {self.order}")
-        return (f"series disagree for field {self.failing_field} "
-                f"at order {self.failing_order}")
-
-
 def chron_equiv_check(sol: SeriesSolution,
-                      term_budget: int = DEFAULT_TERM_BUDGET) -> EquivalenceReport:
+                      term_budget: int = DEFAULT_TERM_BUDGET) -> OrderCheck:
     """Compare the fixed point of the integral form through sol.order, whose
     coefficients are those of picard_iterate(sol.problem, sol.order), with
-    the solved Lie series term by term.
+    the solved Lie series term by term, from order 0.
     """
     p = sol.problem
-    order = sol.order
     _require_ode(p)
     fields = {p.jet_symbol(i): rhs for i, rhs in enumerate(p.rhs)}
     mapped = {TIME: [_terms(p.initial_time), _terms(ONE)]}
-    picard = compose_terms(list(fields), mapped, order, fields, term_budget)
-    rows = tuple(tuple(picard[i][n] == sol.terms[i][n]
-                       for n in range(order + 1)) for i in range(p.n_fields))
-    failing_order, _, failing_field = min(
-        ((n, i, p.field_names[i]) for i, row in enumerate(rows)
-         for n, ok in enumerate(row) if not ok), default=(None, None, None))
-    return EquivalenceReport(
-        field_names=p.field_names,
-        order=order,
-        orders_equal=rows,
-        passed=failing_order is None,
-        failing_field=failing_field,
-        failing_order=failing_order,
-    )
+    picard = compose_terms(list(fields), mapped, sol.order, fields,
+                           term_budget)
+    return OrderCheck.of(
+        p.field_names, 0,
+        [[mine == theirs for mine, theirs in zip(column, sol.terms[i])]
+         for i, column in enumerate(picard)],
+        "chronological and exponential series agree exactly "
+        "through order {last}",
+        "series disagree for field {field} at order {order}")
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .expr import (
     term_count,
 )
 from .parser import ProblemSpec
-from .series import compose, compose_terms
+from .series import OrderCheck, compose, compose_terms
 
 DEFAULT_TERM_BUDGET = 10 ** 6
 
@@ -271,31 +271,15 @@ def _jet_series(sol: SeriesSolution,
     return lambda jsym: [derive(jsym) for derive in tables]
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    """Per-order exactness of du/dt + F = 0 for a truncated series."""
-
-    field_names: tuple[str, ...]
-    checked_orders: int              # residual coefficients 0..checked_orders-1
-    passed: bool
-    failing_order: int | None        # 1-based series order whose relation broke
-    failing_field: str | None
-
-    def summary(self) -> str:
-        if self.passed:
-            return (f"residual zero through order {self.checked_orders - 1} "
-                    f"for fields {', '.join(self.field_names)}")
-        return (f"residual nonzero for field {self.failing_field} at series "
-                f"order {self.failing_order}")
-
-
 def residual_check(sol: SeriesSolution,
-                   term_budget: int = DEFAULT_TERM_BUDGET) -> ResidualReport:
+                   term_budget: int = DEFAULT_TERM_BUDGET) -> OrderCheck:
     """Verify the defining equation order by order.
 
     The residual d/dt(series) + F(t, x, series, jets-of-series) must have
-    exactly-zero coefficients of (t-a)^n for n < sol.order.  A series is
-    checked against another problem of the same shape as
+    exactly-zero coefficients of (t-a)^n for n < sol.order.  Coefficient n
+    is (n+1) U_{n+1} + [F(U)]_n, so the verdict starts at series order 1;
+    an order-0 series raises ValueError.  A series is checked against
+    another problem of the same shape as
     ``residual_check(dataclasses.replace(sol, problem=other))``.
     """
     problem = sol.problem
@@ -306,48 +290,24 @@ def residual_check(sol: SeriesSolution,
             mapped[jsym] = jet_series(jsym)
     forcings = compose_terms(problem.rhs, mapped, sol.order - 1,
                              term_budget=term_budget)
-    # Coefficient n of du/dt + F(u) is (n+1) U_{n+1} + [F(U)]_n; the lowest
-    # failing order is reported, at the first field where it fails.
-    failing_order, _, failing_field = min(
-        ((n + 1, i, problem.field_names[i])
-         for i, forcing in enumerate(forcings) for n, f_n in enumerate(forcing)
-         if f_n != _scaled(-(n + 1), sol.terms[i][n + 1])),
-        default=(None, None, None))
-    return ResidualReport(
-        field_names=problem.field_names,
-        checked_orders=sol.order,
-        passed=failing_order is None,
-        failing_order=failing_order,
-        failing_field=failing_field,
-    )
+    return OrderCheck.of(
+        problem.field_names, 1,
+        [[f_n == _scaled(-(n + 1), sol.terms[i][n + 1])
+          for n, f_n in enumerate(forcing)]
+         for i, forcing in enumerate(forcings)],
+        "residual zero through order {last} for fields {fields}",
+        "residual nonzero for field {field} at series order {order}")
 
 
 # ---------------------------------------------------------------------------
 # Homomorphism check: series of G(c) versus G applied to the series
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomomorphismReport:
-    """Exact per-order comparison of the series of G(jets) against G
-    composed with the solution's per-jet series (the conjugation property
-    of the evolution operator on multiplication operators).
-    """
-
-    order: int
-    orders_equal: tuple[bool, ...]
-    passed: bool
-    failing_order: int | None
-
-    def summary(self) -> str:
-        if self.passed:
-            return f"homomorphism exact through order {self.order}"
-        return f"homomorphism broken at order {self.failing_order}"
-
-
 def check_homomorphism(sol: SeriesSolution, G: Expr, order: int,
-                       term_budget: int = DEFAULT_TERM_BUDGET) -> HomomorphismReport:
+                       term_budget: int = DEFAULT_TERM_BUDGET) -> OrderCheck:
     """Compare the Lie series seeded with G against G composed with the
-    solved per-jet series, order by order, as exact term dicts.
+    solved per-jet series, orders 0..order, as exact term dicts, in one
+    verdict row labelled G.
     """
     if order > sol.order:
         raise ValueError(f"order {order} exceeds the series order {sol.order}")
@@ -356,11 +316,7 @@ def check_homomorphism(sol: SeriesSolution, G: Expr, order: int,
     jet_series = _jet_series(sol, order + 1)
     rhs = compose_terms([G], {jsym: jet_series(jsym) for jsym in jets_of(G)},
                         order, term_budget=term_budget)[0]
-    equal = tuple(l == r for l, r in zip(lhs, rhs))
-    failing = next((n for n, ok in enumerate(equal) if not ok), None)
-    return HomomorphismReport(
-        order=order,
-        orders_equal=equal,
-        passed=failing is None,
-        failing_order=failing,
-    )
+    return OrderCheck.of(
+        ("G",), 0, [[l == r for l, r in zip(lhs, rhs)]],
+        "homomorphism exact through order {last}",
+        "homomorphism broken at order {order}")

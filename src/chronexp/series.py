@@ -24,11 +24,13 @@ expands several roots over one node table, such as every field of a
 coupled system.
 
 This module never sees the generator: the residual, Picard and
-homomorphism oracles rest on it independently of the Lie series.
+homomorphism oracles rest on it independently of the Lie series, and each
+states its verdict as an ``OrderCheck``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -53,6 +55,48 @@ from .expr import (
     _terms,
     normalize,
 )
+
+
+@dataclass(frozen=True)
+class OrderCheck:
+    """The verdict of one exact route: orders_equal[field][k] says whether
+    the coefficients of series order first_order + k agree, and a failure
+    is reported at the lowest differing order, at the first field there.
+    """
+
+    field_names: tuple[str, ...]
+    first_order: int
+    orders_equal: tuple[tuple[bool, ...], ...]
+    failing_order: int | None
+    failing_field: str | None
+    detail: str
+    passed: bool
+
+    def summary(self) -> str:
+        return self.detail
+
+    @classmethod
+    def of(cls, field_names: Sequence[str], first_order: int,
+           orders_equal: Sequence[Sequence[bool]], passing: str,
+           failing: str) -> OrderCheck:
+        """The verdict of a comparison table, one row per field.  Its detail
+        is ``passing`` formatted with ``fields`` and ``last``, the index
+        from 0 of the final column, or ``failing`` formatted with the
+        failing ``field`` and ``order``.  A table that compares nothing
+        raises ValueError, so that no verdict passes vacuously.
+        """
+        rows = tuple(map(tuple, orders_equal))
+        if not rows or not rows[0]:
+            raise ValueError("no series coefficient was compared")
+        k, i = min(((k, i) for i, row in enumerate(rows)
+                    for k, ok in enumerate(row) if not ok), default=(0, None))
+        if i is None:
+            return cls(tuple(field_names), first_order, rows, None, None,
+                       passing.format(fields=", ".join(field_names),
+                                      last=len(rows[0]) - 1), True)
+        order, field = first_order + k, field_names[i]
+        return cls(tuple(field_names), first_order, rows, order, field,
+                   failing.format(field=field, order=order), False)
 
 
 class _Series:

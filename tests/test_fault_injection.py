@@ -4,8 +4,11 @@ A rational added to one coefficient of a solved catalog series is the shape
 of a wrong solve.  The residual must name exactly the perturbed field and
 order, and so must the integral form on ode and system problems; the
 homomorphism check must fail at that order.  A wrong pde prolongation is
-caught by the numeric route alone (see its test).
+caught by the numeric routes alone (see their tests).
 """
+
+import json
+import math
 
 import pytest
 
@@ -20,10 +23,14 @@ from chronexp import (  # noqa: E402
     catalog,
     check_homomorphism,
     chron_equiv_check,
+    eval_series,
+    initial_jet_bindings,
     jet,
     lie,
     lie_coefficients,
     normalize,
+    parse_expression,
+    parse_problem,
     residual_check,
 )
 from chronexp.cli import main  # noqa: E402
@@ -74,6 +81,18 @@ def test_every_exact_route_finds_the_fault(fault):
     assert homomorphism.failing_order == order
 
 
+def forgets_x(e, space_index):
+    """lie.total_derivative without its x_j -> 1 rule."""
+    def rule(s):
+        if s.kind != SymbolKind.JET:
+            return {}
+        up = tuple(k + 1 if i == space_index else k
+                   for i, k in enumerate(s.orders))
+        return _terms(jet(s.index, up))
+
+    return _derive(e, rule)
+
+
 def test_wrong_prolongation_fails_the_reference_comparison(capsys,
                                                            monkeypatch):
     """A total derivative that forgets x_j -> 1 fails the catalog reference
@@ -87,16 +106,6 @@ def test_wrong_prolongation_fails_the_reference_comparison(capsys,
     derives the jets of the initial functions, sin(x) and the like, through
     it and the series is evaluated on the wrong initial data.
     """
-    def forgets_x(e, space_index):
-        def rule(s):
-            if s.kind != SymbolKind.JET:
-                return {}
-            up = tuple(k + 1 if i == space_index else k
-                       for i, k in enumerate(s.orders))
-            return _terms(jet(s.index, up))
-
-        return _derive(e, rule)
-
     catalog()   # its closed forms are checked once, with the true rule
     monkeypatch.setattr(lie, "total_derivative", forgets_x)
     assert main(["verify", "--suite", "catalog"]) == 3
@@ -106,3 +115,33 @@ def test_wrong_prolongation_fails_the_reference_comparison(capsys,
     assert [line.split(":")[0] for line in failed] == [
         f"FAIL reference comparison [{name}]"
         for name in ("transport", "heat", "burgers")]
+
+
+EXPLICIT_X = {"kind": "pde", "time": {"name": "t", "initial": "0"},
+              "space": ["x"], "fields": ["u"], "rhs": {"u": "x*u_x"}}
+
+
+def explicit_x_errors_within_bound(order: int) -> bool:
+    """Whether the order-``order`` series of du/dt + x u_x = 0 with
+    u(0, x) = sin x is within |t|^(order+1) of sin(x e^-t) on a grid.
+    """
+    p = parse_problem(json.dumps(EXPLICIT_X))
+    sol = lie_coefficients(build_generator(p), order)
+    xs, ts = (-1.3, 0.4, 2.0), (0.05, 0.1, -0.1, 0.2)
+    binds = initial_jet_bindings(sol, [parse_expression("sin(x)", p)],
+                                 [[x] for x in xs])
+    return all(abs(value - math.sin(x * math.exp(-t))) <= abs(t) ** (order + 1)
+               for x, bind in zip(xs, binds)
+               for t, (value,) in zip(ts, eval_series(sol, ts, bind)))
+
+
+def test_explicit_x_prolongation_matches_the_closed_form():
+    assert explicit_x_errors_within_bound(6)
+
+
+def test_wrong_prolongation_misses_the_explicit_x_closed_form(monkeypatch):
+    """The rhs x*u_x names x, so its D_x needs x_j -> 1: under the rule
+    that drops it both the generator and the initial jets go wrong.
+    """
+    monkeypatch.setattr(lie, "total_derivative", forgets_x)
+    assert not explicit_x_errors_within_bound(6)

@@ -3,11 +3,14 @@ of the Lie-series generator, so they can certify the series it builds.
 """
 
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "chronexp"
+PERFBENCH = SRC.parent.parent / "perfbench"
 HEAT = str(Path(__file__).resolve().parent / "fixtures" / "heat.json")
 GENERATOR = {"build_generator", "apply_generator", "apply_series_to_function",
              "lie_coefficients"}
@@ -166,3 +169,37 @@ def test_term_dicts_have_one_owner():
                     isinstance(key, ast.Tuple) for key in keys):
                 tuple_keyed.append(f"{path.name}:{node.lineno}")
     assert tuple_keyed == []
+
+
+def literal(path: Path, name: str):
+    """The literal value assigned to ``name`` at the top of a module, read
+    without importing or running it.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def test_every_timed_function_is_traced():
+    # The benchmark reports each "mod.name" of TIMED_FUNCTIONS from the
+    # spans of the functions spans.py wraps: public functions defined in
+    # chronexp.<mod>, mod one of its MODULES.  A function moved to another
+    # module would drop out of the trace.
+    timed = literal(PERFBENCH / "run.py", "TIMED_FUNCTIONS")
+    modules = literal(PERFBENCH / "spans.py", "MODULES")
+    unspanned = literal(PERFBENCH / "spans.py", "UNSPANNED")
+    untraced = []
+    for qual in timed:
+        short, name = qual.split(".")
+        module = importlib.import_module(f"chronexp.{short}")
+        obj = getattr(module, name, None)
+        if not (short in modules and not name.startswith("_")
+                and inspect.isfunction(obj)
+                and obj.__module__ == module.__name__
+                and qual not in unspanned):
+            untraced.append(qual)
+    assert len(timed) > 0
+    assert untraced == []

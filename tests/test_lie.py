@@ -254,7 +254,7 @@ class TestResidual:
         sol = lie_coefficients(build_generator(p), 4)
         report = residual_check(sol)
         assert report.passed, report.summary()
-        assert report.checked_orders == 4
+        assert [len(row) for row in report.orders_equal] == [4] * p.n_fields
         assert report.failing_order is None
 
     def test_wrong_sign_fails_at_order_one(self, riccati):
@@ -266,6 +266,13 @@ class TestResidual:
         assert not cross.passed
         assert cross.failing_order == 1
         assert cross.failing_field == "u"
+
+    def test_order_zero_series_checks_nothing(self, riccati):
+        # Its residual has no coefficient, so a verdict could only pass
+        # vacuously.
+        sol = lie_coefficients(build_generator(riccati), 0)
+        with pytest.raises(ValueError, match="no series coefficient"):
+            residual_check(sol)
 
     def test_shape_mismatch_rejected(self, riccati):
         harmonic = load_fixture("harmonic")
@@ -441,7 +448,7 @@ class TestFunctionSeries:
         report = check_homomorphism(
             lie_coefficients(build_generator(p), 5), G, 5)
         assert report.passed, report.__dict__
-        assert report.orders_equal == (True,) * 6
+        assert report.orders_equal[0] == (True,) * 6
 
     def test_pde_homomorphism_small_order(self, heat):
         G = normalize(parse_expression("c*c_x", heat))

@@ -27,6 +27,7 @@ from chronexp import (  # noqa: E402
     INITIAL_TIME,
     Mul,
     ONE,
+    OrderCheck,
     Pow,
     TIME,
     UnsupportedFunction,
@@ -163,3 +164,20 @@ def test_term_budget_bounds_every_node():
     assert max(len(c) for c in column) == 1
     with pytest.raises(ExpressionBlowup):
         compose_terms([root], mapped, 3, term_budget=2)
+
+
+def test_order_check_fails_at_the_lowest_order_then_the_first_field():
+    phrasings = ("through {last} for {fields}", "{field} at {order}")
+    # v precedes u in the problem, and both first differ at order 2.
+    check = OrderCheck.of(("v", "u"), 1, [[True, False], [True, False]],
+                          *phrasings)
+    assert (check.passed, check.failing_order, check.failing_field) == (
+        False, 2, "v")
+    assert check.summary() == "v at 2"
+    check = OrderCheck.of(("v", "u"), 1, [[True, True], [False, True]],
+                          *phrasings)
+    assert (check.failing_order, check.failing_field) == (1, "u")
+    check = OrderCheck.of(("v", "u"), 1, [[True, True], [True, True]],
+                          *phrasings)
+    assert check.passed and check.failing_order is None
+    assert check.summary() == "through 1 for v, u"
