@@ -461,6 +461,16 @@ def _subst(e: Expr, mapping: Mapping[Sym, Expr]) -> Expr:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _at_time(terms: _Terms, point: Expr) -> _Terms:
+    """``_terms(_subst(_build(terms), {TIME: point}))``, rebuilding only the
+    monomials in which t occurs.
+    """
+    timed = cache(lambda atom: TIME in symbols_of(atom))
+    return _sum(_terms(_subst(_build({mono: coeff}), {TIME: point}))
+                if any(timed(atom) for atom, _ in mono) else {mono: coeff}
+                for mono, coeff in terms.items())
+
+
 def subst(e: Expr, sym: Sym, value: Expr) -> Expr:
     """Replace every occurrence of ``sym`` by ``value``, then normalize.
     The replacement is not rescanned, so self-referential values are safe.

@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 
 from .errors import ExpressionBlowup
 from .expr import (
+    MINUS_ONE,
     ONE,
     Add,
-    Const,
     Expr,
     Fraction,
     Mul,
@@ -34,10 +34,10 @@ from .expr import (
     SymbolKind,
     TIME,
     _Terms,
+    _at_time,
     _build,
     _derive,
     _scaled,
-    _subst,
     _terms,
     diff,
     eval_num,
@@ -46,7 +46,6 @@ from .expr import (
     normalize,
     space_var,
     symbols_of,
-    term_count,
 )
 from .parser import ProblemSpec
 from .series import OrderCheck, compose, compose_terms
@@ -112,7 +111,7 @@ def apply_generator(g: Generator, e: Expr) -> Expr:
     """One application of the derivation A (see module docstring).  The
     jet-sum runs over exactly the jets occurring in ``e``.
     """
-    pieces = [Mul((Const(Fraction(-1)), diff(e, TIME)))]
+    pieces = [Mul((MINUS_ONE, diff(e, TIME)))]
     for jsym in jets_of(e):
         rate = g.derived_rhs(jsym)
         pieces.append(Mul((rate, diff(e, jsym))))
@@ -151,23 +150,26 @@ class SeriesSolution:
         return tuple(tuple(map(_terms, column)) for column in self.coeffs)
 
 
-def _lie_terms(g: Generator, G: Expr, order: int,
-               term_budget: int) -> list[_Terms]:
-    """apply_series_to_function's coefficients as term dicts."""
-    point = g.problem.initial_time
+def _lie_terms(step: Callable[[_Terms], _Terms], seed: _Terms, point: Expr,
+               order: int, term_budget: int) -> list[_Terms]:
+    """The one Lie loop: (-1)^n/n! A^n[seed] at t = point, n = 0..order, in
+    term form, ``step`` applying A; an A^n[seed] over budget raises.
+    """
     out: list[_Terms] = []
-    current = normalize(G)
-    sign = Fraction(1)
     for n in range(order + 1):
-        if term_count(current) > term_budget:
+        current = step(current) if n else seed
+        if len(current) > term_budget:
             raise ExpressionBlowup(
                 f"series term at order {n} exceeds {term_budget} monomials")
-        scaled = Mul((Const(sign / math.factorial(n)), current))
-        out.append(_terms(_subst(scaled, {TIME: point})))
-        if n < order:
-            current = apply_generator(g, current)
-            sign = -sign
+        out.append(_scaled(Fraction((-1) ** n, math.factorial(n)),
+                           _at_time(current, point)))
     return out
+
+
+def _solver_terms(g: Generator, G: Expr, order: int, budget: int) -> list[_Terms]:
+    """The Lie loop stepped by the tree-form apply_generator."""
+    return _lie_terms(lambda d: _terms(apply_generator(g, _build(d))),
+                      _terms(G), g.problem.initial_time, order, budget)
 
 
 def apply_series_to_function(g: Generator, G: Expr, order: int,
@@ -176,7 +178,7 @@ def apply_series_to_function(g: Generator, G: Expr, order: int,
     [(-1)^n/n! A^n[G] at t=a] for n = 0..order.  Seeding with a bare c_i
     gives the corresponding lie_coefficients column.
     """
-    return [_build(c) for c in _lie_terms(g, G, order, term_budget)]
+    return [_build(c) for c in _solver_terms(g, G, order, term_budget)]
 
 
 def lie_coefficients(g: Generator, order: int,
@@ -186,7 +188,7 @@ def lie_coefficients(g: Generator, order: int,
     not expand the printed coefficients again.
     """
     seeds = map(g.problem.jet_symbol, range(g.problem.n_fields))
-    terms = tuple(tuple(_lie_terms(g, seed, order, term_budget))
+    terms = tuple(tuple(_solver_terms(g, seed, order, term_budget))
                   for seed in seeds)
     sol = SeriesSolution(problem=g.problem, order=order, coeffs=tuple(
         tuple(map(_build, column)) for column in terms))
@@ -305,14 +307,22 @@ def residual_check(sol: SeriesSolution,
 
 def check_homomorphism(sol: SeriesSolution, G: Expr, order: int,
                        term_budget: int = DEFAULT_TERM_BUDGET) -> OrderCheck:
-    """Compare the Lie series seeded with G against G composed with the
-    solved per-jet series, orders 0..order, as exact term dicts, in one
-    verdict row labelled G.
+    """Compare the Lie series seeded with G, stepped by A as one ``_derive``
+    rule (t to -1, jet (k, alpha) to D_x^alpha F_k) and not by the solver's
+    apply_generator, against G composed with the solved per-jet series,
+    orders 0..order, as exact term dicts, in one verdict row labelled G.
     """
     if order > sol.order:
         raise ValueError(f"order {order} exceeds the series order {sol.order}")
     G = normalize(G)
-    lhs = _lie_terms(build_generator(sol.problem), G, order, term_budget)
+    rates = jet_derivatives([_terms(e) for e in sol.problem.rhs])
+
+    def rule(s: Sym) -> _Terms:
+        return rates(s) if s.kind == SymbolKind.JET else (
+            _terms(MINUS_ONE) if s == TIME else {})
+
+    lhs = _lie_terms(lambda d: _derive(d, rule), _terms(G),
+                     sol.problem.initial_time, order, term_budget)
     jet_series = _jet_series(sol, order + 1)
     rhs = compose_terms([G], {jsym: jet_series(jsym) for jsym in jets_of(G)},
                         order, term_budget=term_budget)[0]

@@ -4,7 +4,9 @@ Differential tests on random trees over every elementary function and
 negative powers of sums: ``diff`` must equal the normalized tree-walking
 derivative it replaced, kept here as the reference; ``total_derivative``
 must equal the per-jet prolongation formula; the tree-facing ``compose``
-must equal its term-form core.  sympy, where installed, differentiates
+must equal its term-form core; the term-form substitution t = a must
+equal substituting into the tree and normalizing, down to raising
+DivisionByZero where that does.  sympy, where installed, differentiates
 polynomial and rational trees independently, read back from rendered text.
 """
 
@@ -13,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, reject, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chronexp import (  # noqa: E402
@@ -21,6 +23,7 @@ from chronexp import (  # noqa: E402
     Const,
     DivisionByZero,
     Func,
+    INITIAL_TIME,
     Mul,
     ONE,
     Pow,
@@ -36,7 +39,13 @@ from chronexp import (  # noqa: E402
     space_var,
     total_derivative,
 )
-from chronexp.expr import ELEMENTARY, _build, _terms  # noqa: E402
+from chronexp.expr import (  # noqa: E402
+    ELEMENTARY,
+    _at_time,
+    _build,
+    _subst,
+    _terms,
+)
 from chronexp.render import format_expr  # noqa: E402
 from chronexp.series import compose, compose_terms  # noqa: E402
 
@@ -143,6 +152,37 @@ def test_compose_is_its_term_form_core_on_trees(tree):
         reject()
     assert got == [[_build(c) for c in column]
                    for column in compose_terms([e], terms, 3)]
+
+
+def outcome(thunk):
+    """The term dict returned, or DivisionByZero."""
+    try:
+        return thunk()
+    except DivisionByZero:
+        return DivisionByZero
+
+
+HALF = Const(Fraction(1, 2))
+# t - 1/2 and t - a vanish at their point: 1/(t - 1/2) and its like raise.
+T_MINUS_HALF = Add((TIME, Const(Fraction(-1, 2))))
+T_MINUS_A = Add((TIME, Mul((Const(Fraction(-1)), INITIAL_TIME))))
+
+
+@SETTINGS
+@given(tree=trees, point=st.one_of(
+    st.just(Const(Fraction(0))), st.just(INITIAL_TIME),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3).map(Const)))
+@example(tree=Pow(T_MINUS_HALF, -1), point=HALF)
+@example(tree=Mul((X, Pow(Add((T_MINUS_A, K)), -2))), point=INITIAL_TIME)
+@example(tree=Add((Func("sin", Mul((TIME, JETS[0]))), Pow(T_MINUS_A, -1))),
+         point=INITIAL_TIME)
+@example(tree=Func("ln", Add((JETS[1], Pow(T_MINUS_HALF, -1)))), point=HALF)
+@example(tree=Mul((Func("exp", TIME), Pow(Add((TIME, K)), -1))),
+         point=Const(Fraction(0)))
+def test_time_substitution_matches_the_tree_route(tree, point):
+    e = canonical(tree)
+    assert outcome(lambda: _at_time(_terms(e), point)) == outcome(
+        lambda: _terms(_subst(e, {TIME: point})))
 
 
 def sympy_of(e, sympy):

@@ -3,8 +3,10 @@
 A rational added to one coefficient of a solved catalog series is the shape
 of a wrong solve.  The residual must name exactly the perturbed field and
 order, and so must the integral form on ode and system problems; the
-homomorphism check must fail at that order.  A wrong pde prolongation is
-caught by the numeric routes alone (see their tests).
+homomorphism check must fail at that order.  A solver generator that
+drops -d/dt fails the homomorphism check, which steps its own rule for A.
+A wrong pde prolongation is caught by the numeric routes alone (see their
+tests).
 """
 
 import json
@@ -17,15 +19,18 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chronexp import (  # noqa: E402
+    Add,
     Mul,
     SymbolKind,
     build_generator,
     catalog,
     check_homomorphism,
     chron_equiv_check,
+    diff,
     eval_series,
     initial_jet_bindings,
     jet,
+    jets_of,
     lie,
     lie_coefficients,
     normalize,
@@ -81,6 +86,28 @@ def test_every_exact_route_finds_the_fault(fault):
     assert homomorphism.failing_order == order
 
 
+def forgets_time(g, e):
+    """lie.apply_generator without its -de/dt piece, still a derivation."""
+    return normalize(Add(tuple(Mul((g.derived_rhs(jsym), diff(e, jsym)))
+                               for jsym in jets_of(e))))
+
+
+def test_generator_without_time_fails_the_homomorphism(capsys, monkeypatch):
+    """A solver generator that forgets -d/dt is still a derivation, so the
+    Lie series of G(c) it builds is G of the series it builds, wrong as
+    both are.  The homomorphism check steps its own rule for A, so it
+    fails on linear_time, whose rhs -t*u names t, at the first order where
+    d/dt of the rhs enters.
+    """
+    monkeypatch.setattr(lie, "apply_generator", forgets_time)
+    assert main(["verify", "--suite", "homomorphism"]) == 3
+    failed = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert failed == [
+        f"FAIL homomorphism [linear_time, G={g}]: "
+        "homomorphism broken at order 2" for g in ("c^2", "c^3")]
+
+
 def forgets_x(e, space_index):
     """lie.total_derivative without its x_j -> 1 rule."""
     def rule(s):
@@ -99,7 +126,8 @@ def test_wrong_prolongation_fails_the_reference_comparison(capsys,
     comparison on heat, transport and burgers.
 
     The exact routes stay green: the solve, the residual's jet series and
-    the homomorphism check's compose side all derive jets through the same
+    both sides of the homomorphism check (its rule's rates D_x^alpha F and
+    its compose side's jet series) all derive jets through the same
     lie.total_derivative, so they agree with each other however wrong it
     is (and no catalog pde rhs or coefficient has an explicit x).  Only
     the reference comparison sees the fault, because initial_jet_bindings

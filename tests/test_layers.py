@@ -1,5 +1,6 @@
-"""Module layering: the residual and integral-form routes stay independent
-of the Lie-series generator, so they can certify the series it builds.
+"""Module layering: the residual and integral-form routes, and the Lie side
+of the homomorphism check, stay independent of the Lie-series generator,
+so they can certify the series it builds.
 """
 
 import ast
@@ -57,22 +58,39 @@ def test_dyson_takes_only_the_series_type_from_lie():
     assert not names_used(tree) & GENERATOR
 
 
-def test_residual_route_never_names_the_generator():
-    # residual_check and the jet helper it shares with the homomorphism
-    # check, followed through every lie.py function they call.
+def generator_names(*roots: str) -> dict[str, set[str]]:
+    """Each lie.py function reached from ``roots`` through the lie.py
+    functions they call, mapped to the GENERATOR names it uses.
+    """
     functions = {node.name: node for node in parse("lie").body
                  if isinstance(node, ast.FunctionDef)}
-    pending = ["residual_check", "_jet_series"]
-    seen = set()
+    pending = list(roots)
+    named = {}
     while pending:
         name = pending.pop()
-        if name in seen:
+        if name in named:
             continue
-        seen.add(name)
         used = names_used(functions[name])
-        assert not used & GENERATOR, (name, used & GENERATOR)
+        named[name] = used & GENERATOR
         pending += [n for n in used if n in functions]
-    assert {"jet_derivatives", "total_derivative"} <= seen
+    return named
+
+
+def test_residual_route_never_names_the_generator():
+    # residual_check and the jet helper it shares with the homomorphism
+    # check.
+    named = generator_names("residual_check", "_jet_series")
+    assert {name: used for name, used in named.items() if used} == {}
+    assert {"jet_derivatives", "total_derivative"} <= named.keys()
+
+
+def test_homomorphism_lie_side_never_names_the_generator():
+    # The check steps its Lie series by its own rule for A, so a fault in
+    # the solver's generator cannot cancel out of the comparison.
+    named = generator_names("check_homomorphism")
+    assert {name: used for name, used in named.items() if used} == {}
+    assert {"_lie_terms", "jet_derivatives",
+            "total_derivative"} <= named.keys()
 
 
 def exits_and_numpy_loaded(*argvs: list[str]) -> tuple[list[int], bool]:

@@ -40,7 +40,7 @@ from chronexp import (
 )
 from chronexp.expr import _build, _terms
 from chronexp.lie import jet_derivatives
-from chronexp.series import polynomial
+from chronexp.series import compose_terms, polynomial
 
 from conftest import FIXTURES, load_fixture, perturbed, random_expr
 
@@ -462,6 +462,22 @@ class TestFunctionSeries:
         assert not report.passed
         assert report.failing_order == 3
         assert report.summary() == "homomorphism broken at order 3"
+
+    @pytest.mark.parametrize("budget,order", [(3, 2), (5, 3), (8, 4)])
+    def test_term_budget_bounds_the_lie_side(self, budget, order):
+        # A^n[c^2] carries powers of t that t = 1/2 folds away, so at these
+        # budgets only the Lie side of the check overflows.
+        p = parse_problem(json.dumps({
+            "kind": "ode", "time": {"name": "t", "initial": "1/2"},
+            "fields": ["u"], "rhs": {"u": "t^3*u + t^2"}}))
+        sol = lie_coefficients(build_generator(p), 4)
+        G = normalize(parse_expression("c^2", p))
+        compose_terms([G], {p.jet_symbol(0): sol.terms[0]}, 4,
+                      term_budget=budget)
+        with pytest.raises(ExpressionBlowup, match=(
+                f"^series term at order {order} exceeds {budget} "
+                "monomials$")):
+            check_homomorphism(sol, G, 4, term_budget=budget)
 
     def test_homomorphism_order_above_series(self, riccati):
         G = normalize(parse_expression("c^2", riccati))
