@@ -60,11 +60,8 @@ from .parser import (
 )
 from .series import OrderCheck
 from .lie import (
-    Generator,
     SeriesSolution,
     apply_generator,
-    apply_series_to_function,
-    build_generator,
     check_homomorphism,
     eval_series,
     initial_jet_bindings,

@@ -46,7 +46,6 @@ from .dyson import (
 from .lie import (
     DEFAULT_TERM_BUDGET,
     SeriesSolution,
-    build_generator,
     check_homomorphism,
     eval_series,
     initial_jet_bindings,
@@ -182,8 +181,7 @@ def _float_list(text: str, what: str) -> list[float]:
 def cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
     order = _effective_order(args, problem.order)
-    sol = lie_coefficients(build_generator(problem), order,
-                           term_budget=args.term_budget)
+    sol = lie_coefficients(problem, order, term_budget=args.term_budget)
     if args.format == "text":
         for i in range(problem.n_fields):
             print(series_text(sol, i))
@@ -212,6 +210,9 @@ def _parse_bindings(text: str, problem: ProblemSpec) -> dict:
         symbol = ctx.names.get(name.strip())
         if symbol is None:
             raise InputError(f"unknown symbol '{name.strip()}' in --ic")
+        if symbol in bind:
+            raise InputError(f"symbol '{render(symbol, problem)}' is bound "
+                             "twice in --ic")
         try:
             number = float(value)
         except ValueError:
@@ -243,8 +244,7 @@ def _parse_initial_exprs(text: str, problem: ProblemSpec) -> list[Expr]:
 def cmd_eval(args) -> int:
     problem = _load_problem(args.problem)
     order = _effective_order(args, problem.order)
-    sol = lie_coefficients(build_generator(problem), order,
-                           term_budget=args.term_budget)
+    sol = lie_coefficients(problem, order, term_budget=args.term_budget)
     t_values = _float_list(args.t, "--t")
     if not t_values:
         raise InputError("--t needs at least one value")
@@ -387,8 +387,7 @@ def _verify_order(args, default: int) -> int:
 def _verify_file(args) -> list[dict]:
     problem = _load_problem(args.problem)
     order = _verify_order(args, problem.order)
-    sol = lie_coefficients(build_generator(problem), order,
-                           term_budget=args.term_budget)
+    sol = lie_coefficients(problem, order, term_budget=args.term_budget)
     reports = []
     res = residual_check(sol, args.term_budget)
     reports.append(_report("defining equation [self]", res.passed,
@@ -441,8 +440,8 @@ def cmd_verify(args) -> int:
         hom_order = min(order, MAX_HOMOMORPHISM_ORDER)
         solve_order = order if suite in ("catalog", "all") else hom_order
         solved = [] if suite == "dyson" else [
-            (entry, lie_coefficients(build_generator(entry.problem),
-                                     solve_order, args.term_budget))
+            (entry, lie_coefficients(entry.problem, solve_order,
+                                     args.term_budget))
             for entry in catalog()]
         reports = []
         if suite in ("catalog", "all"):

@@ -18,7 +18,7 @@ prolongation over exactly the jets present in the operand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Sequence
 
@@ -51,25 +51,6 @@ from .parser import ProblemSpec
 from .series import OrderCheck, compose, compose_terms
 
 DEFAULT_TERM_BUDGET = 10 ** 6
-
-
-# ---------------------------------------------------------------------------
-# Generator
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Generator:
-    """The derivation A for one problem (see the module docstring):
-    ``derived_rhs(jet(k, alpha))`` is D_x^alpha F_k.
-    """
-
-    problem: ProblemSpec
-    derived_rhs: Callable[[Sym], Expr] = field(compare=False, repr=False)
-
-
-def build_generator(p: ProblemSpec) -> Generator:
-    derived = jet_derivatives([_terms(e) for e in p.rhs])
-    return Generator(p, cache(lambda jsym: _build(derived(jsym))))
 
 
 def jet_derivatives(bases: Sequence[_Terms]) -> Callable[[Sym], _Terms]:
@@ -107,14 +88,14 @@ def total_derivative(e: _Terms, space_index: int) -> _Terms:
     return _derive(e, rule)
 
 
-def apply_generator(g: Generator, e: Expr) -> Expr:
-    """One application of the derivation A (see module docstring).  The
-    jet-sum runs over exactly the jets occurring in ``e``.
+def apply_generator(rates: Callable[[Sym], Expr], e: Expr) -> Expr:
+    """One application of the derivation A (see module docstring), with
+    ``rates(jet(k, alpha))`` = D_x^alpha F_k.  The jet-sum runs over
+    exactly the jets occurring in ``e``.
     """
     pieces = [Mul((MINUS_ONE, diff(e, TIME)))]
     for jsym in jets_of(e):
-        rate = g.derived_rhs(jsym)
-        pieces.append(Mul((rate, diff(e, jsym))))
+        pieces.append(Mul((rates(jsym), diff(e, jsym))))
     return normalize(Add(tuple(pieces)))
 
 
@@ -166,31 +147,19 @@ def _lie_terms(step: Callable[[_Terms], _Terms], seed: _Terms, point: Expr,
     return out
 
 
-def _solver_terms(g: Generator, G: Expr, order: int, budget: int) -> list[_Terms]:
-    """The Lie loop stepped by the tree-form apply_generator."""
-    return _lie_terms(lambda d: _terms(apply_generator(g, _build(d))),
-                      _terms(G), g.problem.initial_time, order, budget)
-
-
-def apply_series_to_function(g: Generator, G: Expr, order: int,
-                             term_budget: int = DEFAULT_TERM_BUDGET) -> list[Expr]:
-    """Lie series seeded with an arbitrary jet expression G:
-    [(-1)^n/n! A^n[G] at t=a] for n = 0..order.  Seeding with a bare c_i
-    gives the corresponding lie_coefficients column.
-    """
-    return [_build(c) for c in _solver_terms(g, G, order, term_budget)]
-
-
-def lie_coefficients(g: Generator, order: int,
+def lie_coefficients(problem: ProblemSpec, order: int,
                      term_budget: int = DEFAULT_TERM_BUDGET) -> SeriesSolution:
-    """Truncated Lie-series solution for every field of g's problem.  The
+    """Truncated Lie-series solution for every field of the problem.  The
     loop's term dicts become the solution's ``terms``, so the checks do
     not expand the printed coefficients again.
     """
-    seeds = map(g.problem.jet_symbol, range(g.problem.n_fields))
-    terms = tuple(tuple(_solver_terms(g, seed, order, term_budget))
-                  for seed in seeds)
-    sol = SeriesSolution(problem=g.problem, order=order, coeffs=tuple(
+    derived = jet_derivatives([_terms(e) for e in problem.rhs])
+    rates = cache(lambda jsym: _build(derived(jsym)))
+    step = lambda d: _terms(apply_generator(rates, _build(d)))
+    terms = tuple(tuple(_lie_terms(step, _terms(problem.jet_symbol(i)),
+                                   problem.initial_time, order, term_budget))
+                  for i in range(problem.n_fields))
+    sol = SeriesSolution(problem=problem, order=order, coeffs=tuple(
         tuple(map(_build, column)) for column in terms))
     vars(sol)["terms"] = terms
     return sol

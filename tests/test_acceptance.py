@@ -10,7 +10,6 @@ import time
 
 from chronexp import (
     airy_path,
-    build_generator,
     catalog,
     catalog_entry,
     check_homomorphism,
@@ -47,7 +46,7 @@ def test_criterion_1_defining_equation_residual(capsys):
     started = time.perf_counter()
     failures = []
     for entry in catalog():
-        sol = lie_coefficients(build_generator(entry.problem), 6)
+        sol = lie_coefficients(entry.problem, 6)
         rep = residual_check(sol)
         if not (rep.passed and all(len(row) == 6
                                    for row in rep.orders_equal)):
@@ -64,8 +63,8 @@ def test_criterion_2_two_series_constructions_agree(capsys):
     started = time.perf_counter()
     failures = []
     for name in POLYNOMIAL:
-        rep = chron_equiv_check(lie_coefficients(
-            build_generator(catalog_entry(name).problem), 6))
+        rep = chron_equiv_check(lie_coefficients(catalog_entry(name).problem,
+                                                 6))
         if not rep.passed:
             failures.append((name, rep.__dict__))
     elapsed = time.perf_counter() - started
@@ -95,15 +94,13 @@ def test_criterion_4_homomorphism(capsys):
         alias = p.initial_alias(0)
         for g_text in (f"{alias}^2", f"{alias}^3"):
             G = normalize(parse_expression(g_text, p))
-            rep = check_homomorphism(
-                lie_coefficients(build_generator(p), 5), G, 5)
+            rep = check_homomorphism(lie_coefficients(p, 5), G, 5)
             if not rep.passed:
                 failures.append((name, g_text, rep.failing_order))
     for name in ("heat", "burgers"):
         p = catalog_entry(name).problem
         G = normalize(parse_expression("c*c_x", p))
-        rep = check_homomorphism(
-            lie_coefficients(build_generator(p), 5), G, 5)
+        rep = check_homomorphism(lie_coefficients(p, 5), G, 5)
         if not rep.passed:
             failures.append((name, "c*c_x", rep.failing_order))
     ok = not failures
@@ -120,7 +117,7 @@ def test_criterion_5_convergence_order(capsys):
     for name, points in (("riccati", None), ("heat", [1.5, 1.0, 2.2])):
         entry = catalog_entry(name)
         for order in (2, 4, 6):
-            sol = lie_coefficients(build_generator(entry.problem), order)
+            sol = lie_coefficients(entry.problem, order)
             table = compare_series_to_reference(sol, entry, offsets, points)
             slope = convergence_slope(table.offsets, table.max_errors)
             measured.append(f"{name} N={order}: {slope:.2f}")
@@ -135,12 +132,12 @@ def test_criterion_5_convergence_order(capsys):
 
 def test_criterion_6_closed_form_reproduction(capsys):
     riccati = catalog_entry("riccati").problem
-    sol = lie_coefficients(build_generator(riccati), 8)
+    sol = lie_coefficients(riccati, 8)
     value = eval_series(sol, [0.1], {jet(0, ()): 1.0})[0][0]
     riccati_err = abs(value - 1.0 / 1.1)
 
     heat = catalog_entry("heat").problem
-    sol = lie_coefficients(build_generator(heat), 6)
+    sol = lie_coefficients(heat, 6)
     ic = [normalize(parse_expression("sin(x)", heat.context()))]
     heat_err = 0.0
     for x in (-1.0, 0.3, 0.9, 1.5, 2.2):
@@ -169,7 +166,7 @@ def test_criterion_7_product_integral_order(capsys):
 def test_criterion_8_negative_control(capsys):
     corrupt = FIXTURES / "corrupt" / "riccati.json"
     flipped = parse_problem(corrupt.read_text())
-    sol = lie_coefficients(build_generator(flipped), 6)
+    sol = lie_coefficients(flipped, 6)
     cross = residual_check(dataclasses.replace(
         sol, problem=catalog_entry("riccati").problem))
     residual_ok = (not cross.passed) and cross.failing_order == 1

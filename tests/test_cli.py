@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from chronexp import (
-    build_generator,
     chron_equiv_check,
     cli,
     lie_coefficients,
@@ -81,7 +80,7 @@ class TestSolve:
         problem = parse_problem(json.dumps(doc["problem"]))
         original = parse_problem(Path(fx("burgers")).read_text())
         assert problem == dataclasses.replace(original, order=3)
-        sol = lie_coefficients(build_generator(problem), 3)
+        sol = lie_coefficients(problem, 3)
         ctx = problem.context(max_jet_order=16)
         for row in doc["coefficients"]:
             i = problem.field_names.index(row["field"])
@@ -264,6 +263,10 @@ class TestEval:
           "--term-budget", "0"), "--term-budget must be at least 1"),
         (("eval", "FIX:riccati", "--ic", "c=1", "--t", "0.1",
           "--term-budget", "-5"), "--term-budget must be at least 1"),
+        (("eval", "FIX:riccati", "--ic", "c=1,c=2", "--t", "0.1"),
+         "symbol 'c' is bound twice"),
+        (("eval", "FIX:harmonic", "--ic", "u=1,c1=2,c2=0", "--t", "0.1"),
+         "symbol 'c1' is bound twice"),
     ])
     def test_input_errors(self, capsys, argv, needle):
         argv = [a.replace("FIX:riccati", fx("riccati"))

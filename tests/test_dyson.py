@@ -20,7 +20,6 @@ from chronexp import (
     ONE,
     TIME,
     airy_path,
-    build_generator,
     check_inverse_identity,
     chron_equiv_check,
     cli,
@@ -50,7 +49,7 @@ def expect(problem, text):
 
 
 def solve(problem, order):
-    return lie_coefficients(build_generator(problem), order)
+    return lie_coefficients(problem, order)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +94,7 @@ class TestPicard:
         p = load_fixture(name)
         k = 4
         it = picard_iterate(p, k)
-        sol = lie_coefficients(build_generator(p), k)
+        sol = lie_coefficients(p, k)
         for i in range(p.n_fields):
             got = taylor_coefficients(it[i], p.initial_time, k)
             assert got == list(sol.coeffs[i])

@@ -31,7 +31,6 @@ from chronexp import (  # noqa: E402
     ExpressionBlowup,
     Mul,
     NonFiniteValue,
-    build_generator,
     check_homomorphism,
     chron_equiv_check,
     eval_num,
@@ -96,7 +95,7 @@ def test_generated_problems_pass_and_faults_are_named(doc, data):
     c = p.jet_symbol(0)
     G = normalize(Mul((c, c if odelike else p.jet_symbol(0, (1,)))))
     try:
-        sol = lie_coefficients(build_generator(p), ORDER, BUDGET)
+        sol = lie_coefficients(p, ORDER, BUDGET)
         # the loop's term dicts, which the checks read, are the printed ones
         assert sol.terms == tuple(tuple(map(_terms, column))
                                   for column in sol.coeffs)
@@ -128,7 +127,7 @@ def test_generated_series_agree_with_rk4(doc, initial):
     initial = initial[:p.n_fields]
     bind = {p.jet_symbol(i): v for i, v in enumerate(initial)}
     try:
-        sol = lie_coefficients(build_generator(p), ORDER, BUDGET)
+        sol = lie_coefficients(p, ORDER, BUDGET)
         rk4_solve(p, initial, 0.0, steps=1)
     except (ExpressionBlowup, NonFiniteValue):
         reject()   # past the budget, or F is not finite at the initial data

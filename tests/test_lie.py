@@ -17,8 +17,6 @@ from chronexp import (
     TIME,
     UnboundSymbol,
     apply_generator,
-    apply_series_to_function,
-    build_generator,
     catalog,
     check_homomorphism,
     const,
@@ -40,7 +38,7 @@ from chronexp import (
 )
 from chronexp.expr import _build, _terms
 from chronexp.lie import jet_derivatives
-from chronexp.series import compose_terms, polynomial
+from chronexp.series import compose_terms
 
 from conftest import FIXTURES, load_fixture, perturbed, random_expr
 
@@ -57,16 +55,21 @@ def expect_coeffs(problem, texts):
 # Generator
 # ---------------------------------------------------------------------------
 
+def rates_of(p):
+    derived = jet_derivatives([_terms(e) for e in p.rhs])
+    return lambda jsym: _build(derived(jsym))
+
+
 class TestGenerator:
     def test_single_application(self):
         p = load_fixture("riccati")
-        g = build_generator(p)
+        g = rates_of(p)
         c = jet(0, ())
         assert apply_generator(g, c) == normalize(Pow(c, 2))
 
     def test_explicit_time_dependence(self):
         p = load_fixture("riccati")
-        g = build_generator(p)
+        g = rates_of(p)
         c = jet(0, ())
         e = normalize(Mul((TIME, c)))
         want = normalize(Add((Mul((TIME, Pow(c, 2))),
@@ -75,7 +78,7 @@ class TestGenerator:
 
     def test_burgers_second_application(self):
         p = load_fixture("burgers")
-        g = build_generator(p)
+        g = rates_of(p)
         once = apply_generator(g, jet(0, (0,)))
         assert once == normalize(parse_expression("c*c_x", p))
         twice = apply_generator(g, once)
@@ -84,7 +87,7 @@ class TestGenerator:
 
     def test_derivation_property(self):
         p = load_fixture("heat")
-        g = build_generator(p)
+        g = rates_of(p)
         symbols = [TIME, jet(0, (0,)), jet(0, (1,)), jet(0, (2,))]
         rng = random.Random(53)
         for _ in range(60):
@@ -97,7 +100,7 @@ class TestGenerator:
 
     def test_ode_generators_stay_in_zero_order_jets(self):
         p = load_fixture("lotka_volterra")
-        g = build_generator(p)
+        g = rates_of(p)
         e = jet(0, ())
         for _ in range(4):
             e = apply_generator(g, e)
@@ -105,7 +108,7 @@ class TestGenerator:
 
     def test_pde_prolongation_order_growth(self):
         p = load_fixture("heat")
-        g = build_generator(p)
+        g = rates_of(p)
         e = jet(0, (0,))
         for n in range(1, 5):
             e = apply_generator(g, e)
@@ -163,32 +166,32 @@ class TestTotalDerivative:
 
 class TestLieCoefficients:
     def test_riccati_column(self, riccati):
-        sol = lie_coefficients(build_generator(riccati), 3)
+        sol = lie_coefficients(riccati, 3)
         assert list(sol.coeffs[0]) == \
             expect_coeffs(riccati, ["c", "-c^2", "c^3", "-c^4"])
 
     def test_exponential_column(self):
         p = load_fixture("exponential")
-        sol = lie_coefficients(build_generator(p), 3)
+        sol = lie_coefficients(p, 3)
         assert list(sol.coeffs[0]) == \
             expect_coeffs(p, ["c", "c", "1/2*c", "1/6*c"])
 
     def test_harmonic_columns(self):
         p = load_fixture("harmonic")
-        sol = lie_coefficients(build_generator(p), 3)
+        sol = lie_coefficients(p, 3)
         assert list(sol.coeffs[0]) == \
             expect_coeffs(p, ["c1", "c2", "-1/2*c1", "-1/6*c2"])
         assert list(sol.coeffs[1]) == \
             expect_coeffs(p, ["c2", "-c1", "-1/2*c2", "1/6*c1"])
 
     def test_heat_column(self, heat):
-        sol = lie_coefficients(build_generator(heat), 2)
+        sol = lie_coefficients(heat, 2)
         assert list(sol.coeffs[0]) == \
             expect_coeffs(heat, ["c", "c_xx", "1/2*c_xxxx"])
 
     def test_nonautonomous_coefficients_keep_initial_time(self):
         p = load_fixture("linear_time")
-        sol = lie_coefficients(build_generator(p), 2)
+        sol = lie_coefficients(p, 2)
         assert list(sol.coeffs[0]) == \
             expect_coeffs(p, ["c", "a*c", "1/2*a^2*c + 1/2*c"])
 
@@ -196,21 +199,21 @@ class TestLieCoefficients:
         doc = json.loads((FIXTURES / "riccati.json").read_text())
         doc["time"]["initial"] = "a"
         shifted = parse_problem(json.dumps(doc))
-        a = lie_coefficients(build_generator(shifted), 4)
-        b = lie_coefficients(build_generator(riccati), 4)
+        a = lie_coefficients(shifted, 4)
+        b = lie_coefficients(riccati, 4)
         assert a.coeffs == b.coeffs
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_leading_coefficient_is_initial_data(self, name):
         p = load_fixture(name)
-        sol = lie_coefficients(build_generator(p), 2)
+        sol = lie_coefficients(p, 2)
         for i in range(p.n_fields):
             assert sol.coeffs[i][0] == p.jet_symbol(i)
 
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_coefficients_free_of_time_symbols(self, name):
         p = load_fixture(name)
-        sol = lie_coefficients(build_generator(p), 3)
+        sol = lie_coefficients(p, 3)
         for column in sol.coeffs:
             for coeff in column:
                 assert TIME not in symbols_of(coeff)
@@ -218,7 +221,7 @@ class TestLieCoefficients:
     def test_term_budget_enforced(self):
         p = load_fixture("burgers")
         with pytest.raises(ExpressionBlowup):
-            lie_coefficients(build_generator(p), 4, term_budget=3)
+            lie_coefficients(p, 4, term_budget=3)
 
 
 class TestLoopTerms:
@@ -229,13 +232,13 @@ class TestLoopTerms:
 
     @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
     def test_terms_are_those_of_the_coefficients(self, entry):
-        sol = lie_coefficients(build_generator(entry.problem), 6)
+        sol = lie_coefficients(entry.problem, 6)
         assert "terms" in vars(sol)     # handed over, not expanded again
         assert sol.terms == tuple(tuple(map(_terms, column))
                                   for column in sol.coeffs)
 
     def test_replaced_series_reads_its_own_coefficients(self, riccati):
-        sol = lie_coefficients(build_generator(riccati), 5)
+        sol = lie_coefficients(riccati, 5)
         broken = perturbed(sol, 0, 3, Fraction(1))
         assert "terms" not in vars(broken)
         assert broken.terms[0][3] == _terms(broken.coeffs[0][3])
@@ -251,7 +254,7 @@ class TestResidual:
     @pytest.mark.parametrize("name", ALL_FIXTURES)
     def test_series_satisfies_its_equation(self, name):
         p = load_fixture(name)
-        sol = lie_coefficients(build_generator(p), 4)
+        sol = lie_coefficients(p, 4)
         report = residual_check(sol)
         assert report.passed, report.summary()
         assert [len(row) for row in report.orders_equal] == [4] * p.n_fields
@@ -260,7 +263,7 @@ class TestResidual:
     def test_wrong_sign_fails_at_order_one(self, riccati):
         flipped = parse_problem(
             (FIXTURES / "corrupt" / "riccati.json").read_text())
-        sol = lie_coefficients(build_generator(flipped), 4)
+        sol = lie_coefficients(flipped, 4)
         assert residual_check(sol).passed
         cross = residual_check(dataclasses.replace(sol, problem=riccati))
         assert not cross.passed
@@ -270,13 +273,13 @@ class TestResidual:
     def test_order_zero_series_checks_nothing(self, riccati):
         # Its residual has no coefficient, so a verdict could only pass
         # vacuously.
-        sol = lie_coefficients(build_generator(riccati), 0)
+        sol = lie_coefficients(riccati, 0)
         with pytest.raises(ValueError, match="no series coefficient"):
             residual_check(sol)
 
     def test_shape_mismatch_rejected(self, riccati):
         harmonic = load_fixture("harmonic")
-        sol = lie_coefficients(build_generator(riccati), 3)
+        sol = lie_coefficients(riccati, 3)
         with pytest.raises(ValueError):
             residual_check(dataclasses.replace(sol, problem=harmonic))
 
@@ -287,30 +290,30 @@ class TestResidual:
 
 class TestEvalSeries:
     def test_riccati_near_exact(self, riccati):
-        sol = lie_coefficients(build_generator(riccati), 8)
+        sol = lie_coefficients(riccati, 8)
         value = eval_series(sol, [0.1], {jet(0, ()): 1.0})[0][0]
         assert abs(value - 1.0 / 1.1) <= 1e-8
 
     def test_initial_time_returns_initial_data(self, riccati):
-        sol = lie_coefficients(build_generator(riccati), 6)
+        sol = lie_coefficients(riccati, 6)
         assert eval_series(sol, [0.0], {jet(0, ()): 0.37})[0][0] == 0.37
 
     def test_heat_mode_solution(self, heat):
-        sol = lie_coefficients(build_generator(heat), 6)
+        sol = lie_coefficients(heat, 6)
         ic = [normalize(parse_expression("sin(x)", heat.context()))]
         bind = initial_jet_bindings(sol, ic, [[0.3]])[0]
         value = eval_series(sol, [0.05], bind)[0][0]
         assert abs(value - math.exp(-0.05) * math.sin(0.3)) <= 1e-10
 
     def test_unbound_jet(self, riccati):
-        sol = lie_coefficients(build_generator(riccati), 4)
+        sol = lie_coefficients(riccati, 4)
         with pytest.raises(UnboundSymbol):
             eval_series(sol, [0.1], {})
 
     def test_jet_bindings_from_initial_expression(self, heat):
         # The heat series only involves even derivatives; bindings cover
         # exactly the jets the coefficients use.
-        sol = lie_coefficients(build_generator(heat), 4)
+        sol = lie_coefficients(heat, 4)
         ic = [normalize(parse_expression("sin(x)", heat.context()))]
         bind = initial_jet_bindings(sol, ic, [[0.3]])[0]
         assert math.isclose(bind[jet(0, (0,))], math.sin(0.3))
@@ -320,7 +323,7 @@ class TestEvalSeries:
 
     def test_jet_bindings_odd_orders_for_burgers(self):
         p = load_fixture("burgers")
-        sol = lie_coefficients(build_generator(p), 2)
+        sol = lie_coefficients(p, 2)
         ic = [normalize(parse_expression("sin(x)", p.context()))]
         bind = initial_jet_bindings(sol, ic, [[0.3]])[0]
         assert math.isclose(bind[jet(0, (1,))], math.cos(0.3))
@@ -369,7 +372,7 @@ class TestBatchedEvaluation:
     ])
     def test_ode_matches_per_point(self, name, data, a_value):
         p = load_fixture(name)
-        sol = lie_coefficients(build_generator(p), 8)
+        sol = lie_coefficients(p, 8)
         names = p.context().names
         bind = {names[k]: v for k, v in data.items()}
         times = [a_value, a_value - 0.3, -0.45, 0.1, 0.7]
@@ -381,7 +384,7 @@ class TestBatchedEvaluation:
         ("heat", 8), ("transport", 8), ("burgers", 6), ("kdv", 4)])
     def test_pde_matches_per_point(self, name, order):
         p = load_fixture(name)
-        sol = lie_coefficients(build_generator(p), order)
+        sol = lie_coefficients(p, order)
         ic = [normalize(parse_expression("sin(x)", p.context()))]
         xs = [-1.0, 0.0, 0.3, 2.2]
         times = [0.0, -0.05, 0.1, 0.4]
@@ -393,12 +396,12 @@ class TestBatchedEvaluation:
 
     def test_missing_binding_still_raises(self):
         p = load_fixture("harmonic")
-        sol = lie_coefficients(build_generator(p), 4)
+        sol = lie_coefficients(p, 4)
         with pytest.raises(UnboundSymbol):
             eval_series(sol, [0.1, 0.2], {p.jet_symbol(0): 1.0})
 
     def test_domain_error_at_one_point_still_raises(self, heat):
-        sol = lie_coefficients(build_generator(heat), 4)
+        sol = lie_coefficients(heat, 4)
         ic = [normalize(parse_expression("ln(x)", heat.context()))]
         with pytest.raises(DomainError):
             initial_jet_bindings(sol, ic, [[0.5], [-1.0]])
@@ -409,30 +412,6 @@ class TestBatchedEvaluation:
 # ---------------------------------------------------------------------------
 
 class TestFunctionSeries:
-    def test_square_on_linear_growth(self):
-        p = load_fixture("exponential")
-        g = build_generator(p)
-        G = normalize(parse_expression("c^2", p))
-        got = apply_series_to_function(g, G, 3)
-        assert got == expect_coeffs(p, ["c^2", "2*c^2", "2*c^2", "4/3*c^2"])
-
-    def test_seed_identity_reproduces_solution(self, riccati):
-        g = build_generator(riccati)
-        c = jet(0, ())
-        assert apply_series_to_function(g, c, 5) == \
-            list(lie_coefficients(g, 5).coeffs[0])
-
-    def test_cube_matches_cubed_series(self, riccati):
-        g = build_generator(riccati)
-        order = 5
-        G = normalize(parse_expression("c^3", riccati))
-        got = apply_series_to_function(g, G, order)
-        sol = lie_coefficients(g, order)
-        poly = polynomial(sol.coeffs[0], sol.problem.initial_time)
-        cubed = normalize(Pow(poly, 3))
-        want = taylor_coefficients(cubed, const(0), order)
-        assert got == want
-
     @pytest.mark.parametrize("name,g_text", [
         ("exponential", "c^2"),
         ("riccati", "c^2"),
@@ -445,15 +424,13 @@ class TestFunctionSeries:
     def test_homomorphism(self, name, g_text):
         p = load_fixture(name)
         G = normalize(parse_expression(g_text, p))
-        report = check_homomorphism(
-            lie_coefficients(build_generator(p), 5), G, 5)
+        report = check_homomorphism(lie_coefficients(p, 5), G, 5)
         assert report.passed, report.__dict__
         assert report.orders_equal[0] == (True,) * 6
 
     def test_pde_homomorphism_small_order(self, heat):
         G = normalize(parse_expression("c*c_x", heat))
-        report = check_homomorphism(
-            lie_coefficients(build_generator(heat), 3), G, 3)
+        report = check_homomorphism(lie_coefficients(heat, 3), G, 3)
         assert report.passed
 
     def test_homomorphism_reads_the_given_series(self, broken_riccati):
@@ -470,7 +447,7 @@ class TestFunctionSeries:
         p = parse_problem(json.dumps({
             "kind": "ode", "time": {"name": "t", "initial": "1/2"},
             "fields": ["u"], "rhs": {"u": "t^3*u + t^2"}}))
-        sol = lie_coefficients(build_generator(p), 4)
+        sol = lie_coefficients(p, 4)
         G = normalize(parse_expression("c^2", p))
         compose_terms([G], {p.jet_symbol(0): sol.terms[0]}, 4,
                       term_budget=budget)
@@ -482,8 +459,7 @@ class TestFunctionSeries:
     def test_homomorphism_order_above_series(self, riccati):
         G = normalize(parse_expression("c^2", riccati))
         with pytest.raises(ValueError):
-            check_homomorphism(lie_coefficients(build_generator(riccati), 3),
-                               G, 4)
+            check_homomorphism(lie_coefficients(riccati, 3), G, 4)
 
 
 class TestSharedJetTables:
@@ -493,7 +469,7 @@ class TestSharedJetTables:
 
     def test_replaced_series_derives_its_own(self):
         p = load_fixture("burgers")
-        sol = lie_coefficients(build_generator(p), 4)
+        sol = lie_coefficients(p, 4)
         G = normalize(parse_expression("c*c_x", p))
         assert residual_check(sol).passed
         assert check_homomorphism(sol, G, 4).passed

@@ -9,7 +9,6 @@ import pytest
 
 from chronexp import (
     NonFiniteValue,
-    build_generator,
     catalog,
     catalog_entry,
     compare_series_to_reference,
@@ -128,39 +127,39 @@ class TestCatalog:
 class TestCompare:
     def test_riccati_small_offset(self):
         entry = catalog_entry("riccati")
-        sol = lie_coefficients(build_generator(entry.problem), 8)
+        sol = lie_coefficients(entry.problem, 8)
         table = compare_series_to_reference(sol, entry, [0.1])
         assert table.max_errors[0] <= 1e-8
 
     def test_zero_offset_is_exact(self):
         entry = catalog_entry("riccati")
-        sol = lie_coefficients(build_generator(entry.problem), 6)
+        sol = lie_coefficients(entry.problem, 6)
         table = compare_series_to_reference(sol, entry, [0.0, 0.1])
         assert table.max_errors[0] == 0.0
 
     def test_heat_five_points(self):
         entry = catalog_entry("heat")
-        sol = lie_coefficients(build_generator(entry.problem), 6)
+        sol = lie_coefficients(entry.problem, 6)
         table = compare_series_to_reference(
             sol, entry, [0.05], points=[-1.0, 0.3, 0.9, 1.5, 2.2])
         assert table.max_errors[0] <= 1e-9
 
     def test_numeric_only_entry_uses_rk4(self):
         entry = catalog_entry("lotka_volterra")
-        sol = lie_coefficients(build_generator(entry.problem), 6)
+        sol = lie_coefficients(entry.problem, 6)
         table = compare_series_to_reference(sol, entry, [0.1, 0.05])
         assert table.max_errors[0] <= 1e-6
         assert table.max_errors[1] <= table.max_errors[0]
 
     def test_problem_identity_enforced(self, riccati):
-        sol = lie_coefficients(build_generator(riccati), 4)
+        sol = lie_coefficients(riccati, 4)
         with pytest.raises(ValueError):
             compare_series_to_reference(sol, catalog_entry("harmonic"),
                                         [0.1])
 
     def test_summary_mentions_entry(self):
         entry = catalog_entry("riccati")
-        sol = lie_coefficients(build_generator(entry.problem), 4)
+        sol = lie_coefficients(entry.problem, 4)
         table = compare_series_to_reference(sol, entry, [0.1])
         assert "riccati" in table.summary()
 
@@ -176,7 +175,7 @@ class TestConvergenceOrder:
     @pytest.mark.parametrize("order", [2, 4, 6])
     def test_riccati_slope(self, order):
         entry = catalog_entry("riccati")
-        sol = lie_coefficients(build_generator(entry.problem), order)
+        sol = lie_coefficients(entry.problem, order)
         table = compare_series_to_reference(sol, entry, OFFSETS)
         slope = convergence_slope(table.offsets, table.max_errors)
         assert abs(slope - (order + 1)) <= 0.4
@@ -184,7 +183,7 @@ class TestConvergenceOrder:
     @pytest.mark.parametrize("order", [2, 4, 6])
     def test_heat_slope(self, order):
         entry = catalog_entry("heat")
-        sol = lie_coefficients(build_generator(entry.problem), order)
+        sol = lie_coefficients(entry.problem, order)
         table = compare_series_to_reference(sol, entry, OFFSETS,
                                             points=[1.5, 1.0, 2.2])
         slope = convergence_slope(table.offsets, table.max_errors)
