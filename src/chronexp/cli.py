@@ -204,12 +204,14 @@ def _parse_bindings(text: str, problem: ProblemSpec) -> dict:
         part = part.strip()
         if not part:
             continue
-        name, eq, value = part.partition("=")
+        name, eq, value = (s.strip() for s in part.partition("="))
         if not eq:
             raise InputError(f"binding '{part}' is not name=value")
-        symbol = ctx.names.get(name.strip())
+        symbol = ctx.names.get(name)
         if symbol is None:
-            raise InputError(f"unknown symbol '{name.strip()}' in --ic")
+            raise InputError(f"unknown symbol '{name}' in --ic")
+        if symbol == TIME:
+            raise InputError(f"'{name}' is the time; times come from --t")
         if symbol in bind:
             raise InputError(f"symbol '{render(symbol, problem)}' is bound "
                              "twice in --ic")

@@ -302,10 +302,14 @@ def airy_path(start: float = 0.0, end: float = 1.0,
 def random_path(seed: int = 0, dimension: int = 4, start: float = 0.0,
                 end: float = 1.0, h: float = 1e-2) -> MatrixPath:
     """Smooth random path: fixed trigonometric mix drawn from the seed."""
+    import random
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    base, sin_amp, cos_amp = rng.uniform(-1.0, 1.0, (3, dimension, dimension))
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    rng = random.Random(seed)
+    draws = [rng.uniform(-1.0, 1.0) for _ in range(3 * dimension ** 2)]
+    base, sin_amp, cos_amp = np.reshape(draws, (3, dimension, dimension))
 
     def sampler(tau: float) -> np.ndarray:
         return base + np.sin(tau) * sin_amp + np.cos(2.0 * tau) * cos_amp

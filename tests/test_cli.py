@@ -267,6 +267,8 @@ class TestEval:
          "symbol 'c' is bound twice"),
         (("eval", "FIX:harmonic", "--ic", "u=1,c1=2,c2=0", "--t", "0.1"),
          "symbol 'c1' is bound twice"),
+        (("eval", "FIX:riccati", "--ic", "c=1,t=5", "--t", "0.1"),
+         "'t' is the time; times come from --t"),
     ])
     def test_input_errors(self, capsys, argv, needle):
         argv = [a.replace("FIX:riccati", fx("riccati"))

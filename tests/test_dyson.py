@@ -326,6 +326,13 @@ class TestInverseIdentity:
         a = check_inverse_identity(random_path(seed=1, h=1e-2), 1e-11)
         b = check_inverse_identity(random_path(seed=2, h=1e-2), 1e-11)
         assert a.passed and b.passed
+        one, two = (random_path(seed=s).sampler(0.5) for s in (1, 2))
+        assert not np.array_equal(one, two)
+        assert np.array_equal(one, random_path(seed=1).sampler(0.5))
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            random_path(seed=-1)
 
     def test_holds_even_for_coarse_grids(self):
         # Telescoping is exact per factor, independent of accuracy in h.

@@ -8,7 +8,6 @@ import pytest
 
 from chronexp import (
     Add,
-    Const,
     DivisionByZero,
     DomainError,
     Func,

@@ -10,9 +10,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "chronexp"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "chronexp"
 PERFBENCH = SRC.parent.parent / "perfbench"
-HEAT = str(Path(__file__).resolve().parent / "fixtures" / "heat.json")
+HEAT = str(TESTS / "fixtures" / "heat.json")
 GENERATOR = {"build_generator", "apply_generator", "apply_series_to_function",
              "lie_coefficients"}
 
@@ -93,15 +94,15 @@ def test_homomorphism_lie_side_never_names_the_generator():
             "total_derivative"} <= named.keys()
 
 
-def exits_and_numpy_loaded(*argvs: list[str]) -> tuple[list[int], bool]:
+def exits_and_loaded(module: str, *argvs: list[str]) -> tuple[list[int], bool]:
     """Exit codes of chronexp.cli.main over each argv, run in order in one
-    fresh interpreter, and whether numpy was imported by the end.
+    fresh interpreter, and whether `module` was imported by the end.
     """
     script = ("import sys\n"
               f"sys.path.insert(0, {str(SRC.parent)!r})\n"
               "from chronexp.cli import main\n"
               f"codes = [main(argv) for argv in {list(argvs)!r}]\n"
-              "print(codes, 'numpy' in sys.modules)\n")
+              f"print(codes, {module!r} in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=300,
                           check=True)
@@ -112,7 +113,8 @@ def exits_and_numpy_loaded(*argvs: list[str]) -> tuple[list[int], bool]:
 def test_series_commands_never_load_numpy():
     # numpy serves only the matrix product integrals of verify's dyson
     # suite; importing it costs every other command time and memory.
-    codes, loaded = exits_and_numpy_loaded(
+    codes, loaded = exits_and_loaded(
+        "numpy",
         ["solve", HEAT],
         ["eval", HEAT, "--ic", "sin(x)", "--t", "0.1", "--x", "0.3"])
     assert codes == [0, 0]
@@ -120,16 +122,33 @@ def test_series_commands_never_load_numpy():
 
 
 def test_dyson_suite_loads_numpy():
-    codes, loaded = exits_and_numpy_loaded(["verify", "--suite", "dyson"])
+    codes, loaded = exits_and_loaded("numpy", ["verify", "--suite", "dyson"])
     assert codes == [0]
     assert loaded
 
 
+def test_matrix_suites_never_load_numpy_random():
+    # The random matrix path draws from Python's random; numpy.random
+    # would cost every suite run its import time and memory.  numpy 1.x
+    # imports it with numpy itself, so only a numpy that defers it counts.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy; print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, timeout=300, check=True)
+    eager = proc.stdout.strip() == "True"
+    codes, loaded = exits_and_loaded("numpy.random",
+                                     ["verify", "--suite", "dyson"],
+                                     ["verify", "--suite", "all"])
+    assert codes == [0, 0]
+    assert eager or not loaded
+
+
 def test_no_module_imports_a_name_it_never_uses():
-    # No linter runs on the package, so a deletion that leaves its imports
-    # behind shows up here: every imported name must be read somewhere.
+    # No linter runs on the package or its tests, so a deletion that leaves
+    # its imports behind shows up here: every imported name must be read
+    # somewhere.
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))

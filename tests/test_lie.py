@@ -31,7 +31,6 @@ from chronexp import (
     parse_problem,
     residual_check,
     space_var,
-    subst,
     symbols_of,
     taylor_coefficients,
     total_derivative,

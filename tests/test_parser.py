@@ -11,7 +11,6 @@ from chronexp import (
     Mul,
     ParseError,
     Pow,
-    ProblemSpec,
     SchemaError,
     MixedDerivativeOrderTooHigh,
     TIME,
@@ -28,7 +27,7 @@ from chronexp import (
     render,
 )
 
-from conftest import FIXTURES, load_fixture, random_expr
+from conftest import load_fixture, random_expr
 
 
 def make_doc(**overrides):
