@@ -26,7 +26,6 @@ from .errors import (
 )
 from .expr import (
     Add,
-    Const,
     Expr,
     MINUS_ONE,
     Mul,
@@ -54,7 +53,7 @@ from .lie import (
 )
 from .parser import ProblemSpec, parse_expression, parse_problem, render
 from .reference import CatalogEntry, catalog, compare_series_to_reference
-from .render import _format_const
+from .render import _format_const, _split_rational
 
 MAX_UNFORCED_ORDER = 12
 MAX_HOMOMORPHISM_ORDER = 5
@@ -98,21 +97,6 @@ def _problem_echo(p: ProblemSpec, order: int) -> dict:
 # Series text format
 # ---------------------------------------------------------------------------
 
-def _coeff_parts(c: Expr) -> tuple[int, int, int, Expr | None]:
-    """(sign, |numerator|, denominator, symbolic factor) of a canonical
-    coefficient; sums stay whole and get parenthesized by the caller.
-    """
-    if isinstance(c, Const):
-        sign = 1 if c.value >= 0 else -1
-        return sign, abs(c.value.numerator), c.value.denominator, None
-    if isinstance(c, Mul) and isinstance(c.factors[0], Const):
-        v = c.factors[0].value
-        rest = c.factors[1:]
-        rest_expr = rest[0] if len(rest) == 1 else Mul(rest)
-        return (1 if v >= 0 else -1), abs(v.numerator), v.denominator, rest_expr
-    return 1, 1, 1, c
-
-
 def series_text(sol: SeriesSolution, index: int) -> str:
     """One-line rendering: u = c - (t)*c^2 + (t)^2*c^3 - ..."""
     p = sol.problem
@@ -124,19 +108,18 @@ def series_text(sol: SeriesSolution, index: int) -> str:
         coeff = sol.coeffs[index][n]
         if coeff == ZERO:
             continue
-        sign, numer, denom, rest = _coeff_parts(coeff)
+        value, rest = _split_rational(coeff)
         text = dt_text if n == 1 else f"{dt_text}^{n}"
-        if denom > 1:
-            text += f"/{_format_const(denom)}"
+        if value.denominator > 1:
+            text += f"/{_format_const(value.denominator)}"
         tail = []
-        if numer > 1:
-            tail.append(_format_const(numer))
-        if rest is not None:
-            rendered = render(rest, p)
-            tail.append(f"({rendered})" if isinstance(rest, Add) else rendered)
+        if abs(value.numerator) > 1:
+            tail.append(_format_const(abs(value.numerator)))
+        if rest:    # printed as one product, so a sum is parenthesized
+            tail.append(render(Mul(rest), p))
         if tail:
             text += "*" + "*".join(tail)
-        pieces.append(f" {'+' if sign > 0 else '-'} {text}")
+        pieces.append(f" {'-' if value < 0 else '+'} {text}")
     return "".join(pieces)
 
 
@@ -246,12 +229,10 @@ def _parse_initial_exprs(text: str, problem: ProblemSpec) -> list[Expr]:
 def cmd_eval(args) -> int:
     problem = _load_problem(args.problem)
     order = _effective_order(args, problem.order)
-    sol = lie_coefficients(problem, order, term_budget=args.term_budget)
     t_values = _float_list(args.t, "--t")
     if not t_values:
         raise InputError("--t needs at least one value")
-
-    rows = []
+    # every input is checked before the solve, which may take long
     if problem.kind == "pde":
         if args.x is None:
             raise InputError("pde evaluation needs --x sample points")
@@ -259,13 +240,13 @@ def cmd_eval(args) -> int:
         if not x_values:
             raise InputError("--x needs at least one value")
         initial_exprs = _parse_initial_exprs(args.ic, problem)
-        binds = initial_jet_bindings(sol, initial_exprs,
-                                     [[x] for x in x_values])
-        # one row per time for each x; printed t outer, x inner
-        by_x = [eval_series(sol, t_values, bind) for bind in binds]
-        for i, t in enumerate(t_values):
-            for x, values in zip(x_values, by_x):
-                rows.append((t, x, values[i]))
+        unbound = sorted(render(s, problem) for s in symbols_of(
+            Add((problem.initial_time, *problem.rhs)))
+            if s.kind in (SymbolKind.PARAM, SymbolKind.INITIAL_TIME))
+        if unbound:
+            raise InputError(
+                "pde eval takes only the initial expression in --ic, so "
+                f"nothing binds {', '.join(map(repr, unbound))}")
     else:
         if args.x is not None:
             raise InputError("--x applies to pde problems only")
@@ -277,8 +258,18 @@ def cmd_eval(args) -> int:
                 raise InputError(
                     f"missing initial value for field "
                     f"'{problem.field_names[k]}'")
-        for t, values in zip(t_values, eval_series(sol, t_values, bind)):
-            rows.append((t, None, values))
+
+    sol = lie_coefficients(problem, order, term_budget=args.term_budget)
+    if problem.kind == "pde":
+        binds = initial_jet_bindings(sol, initial_exprs,
+                                     [[x] for x in x_values])
+        # one row per time for each x; printed t outer, x inner
+        by_x = [eval_series(sol, t_values, bind) for bind in binds]
+        rows = [(t, x, values[i]) for i, t in enumerate(t_values)
+                for x, values in zip(x_values, by_x)]
+    else:
+        rows = [(t, None, values) for t, values
+                in zip(t_values, eval_series(sol, t_values, bind))]
     if not all(math.isfinite(v) for _, _, values in rows for v in values):
         raise NonFiniteValue("the series value is not a finite double")
 

@@ -623,6 +623,11 @@ def symbols_of(e: Expr) -> set[Sym]:
     return out
 
 
+def _term_symbols(terms: _Terms) -> set[Sym]:
+    return set().union(*(symbols_of(atom)
+                         for mono in terms for atom, _ in mono))
+
+
 def jets_of(e: Expr) -> set[Sym]:
     return {s for s in symbols_of(e) if s.kind == SymbolKind.JET}
 

@@ -38,6 +38,7 @@ from .expr import (
     _build,
     _derive,
     _scaled,
+    _term_symbols,
     _terms,
     diff,
     eval_num,
@@ -45,7 +46,6 @@ from .expr import (
     jets_of,
     normalize,
     space_var,
-    symbols_of,
 )
 from .parser import ProblemSpec
 from .series import OrderCheck, compose, compose_terms
@@ -105,30 +105,32 @@ def apply_generator(rates: Callable[[Sym], Expr], e: Expr) -> Expr:
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Per-field Taylor coefficients C_{i,n} of the solution around t = a:
-    u_i is approximated by sum_n C_{i,n} (t - a)^n.
+    """Per-field Taylor coefficients C_{i,n} of the solution around t = a,
+    as term dicts: u_i is approximated by sum_n C_{i,n} (t - a)^n.
     """
 
     problem: ProblemSpec
     order: int
-    coeffs: tuple[tuple[Expr, ...], ...]
+    terms: tuple[tuple[_Terms, ...], ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != self.problem.n_fields:
+        if len(self.terms) != self.problem.n_fields:
             raise ValueError("one coefficient column per field is required")
-        for i, column in enumerate(self.coeffs):
+        for i, column in enumerate(self.terms):
             if len(column) != self.order + 1:
                 raise ValueError("coefficient column length mismatch")
-            if column[0] != self.problem.jet_symbol(i):
+            if column[0] != _terms(self.problem.jet_symbol(i)):
                 raise ValueError("order-0 coefficient must be the initial datum")
             for c in column:
-                if TIME in symbols_of(c):
+                if TIME in _term_symbols(c):
                     raise ValueError("coefficients must not contain t")
 
     @cached_property
-    def terms(self) -> tuple[tuple[_Terms, ...], ...]:
-        """The coefficients as term dicts, shared by every check."""
-        return tuple(tuple(map(_terms, column)) for column in self.coeffs)
+    def coeffs(self) -> tuple[tuple[Expr, ...], ...]:
+        """The coefficients as canonical trees, built once on first read,
+        for printing and numeric evaluation.
+        """
+        return tuple(tuple(map(_build, column)) for column in self.terms)
 
 
 def _lie_terms(step: Callable[[_Terms], _Terms], seed: _Terms, point: Expr,
@@ -149,9 +151,8 @@ def _lie_terms(step: Callable[[_Terms], _Terms], seed: _Terms, point: Expr,
 
 def lie_coefficients(problem: ProblemSpec, order: int,
                      term_budget: int = DEFAULT_TERM_BUDGET) -> SeriesSolution:
-    """Truncated Lie-series solution for every field of the problem.  The
-    loop's term dicts become the solution's ``terms``, so the checks do
-    not expand the printed coefficients again.
+    """Truncated Lie-series solution for every field of the problem, holding
+    the loop's own term dicts.
     """
     derived = jet_derivatives([_terms(e) for e in problem.rhs])
     rates = cache(lambda jsym: _build(derived(jsym)))
@@ -159,10 +160,7 @@ def lie_coefficients(problem: ProblemSpec, order: int,
     terms = tuple(tuple(_lie_terms(step, _terms(problem.jet_symbol(i)),
                                    problem.initial_time, order, term_budget))
                   for i in range(problem.n_fields))
-    sol = SeriesSolution(problem=problem, order=order, coeffs=tuple(
-        tuple(map(_build, column)) for column in terms))
-    vars(sol)["terms"] = terms
-    return sol
+    return SeriesSolution(problem=problem, order=order, terms=terms)
 
 
 def eval_series(sol: SeriesSolution, t_values: Sequence[float],

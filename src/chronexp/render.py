@@ -67,6 +67,18 @@ def _format_const(value: Fraction | int) -> str:
         raise ExpressionBlowup("a number is too long to print") from None
 
 
+def _split_rational(node: Expr) -> tuple[Fraction, tuple[Expr, ...]]:
+    """The rational factor of a summand (a product's leading constant) and
+    its other factors.
+    """
+    if isinstance(node, Const):
+        return node.value, ()
+    head = node.factors[0] if isinstance(node, Mul) and node.factors else None
+    if isinstance(head, Const):
+        return head.value, node.factors[1:]
+    return Fraction(1), (node,)
+
+
 def format_expr(e: Expr, namer: Callable[[Sym], str] = spell_symbol) -> str:
     """Render ``e``; parenthesization follows operator precedence."""
 
@@ -87,24 +99,15 @@ def format_expr(e: Expr, namer: Callable[[Sym], str] = spell_symbol) -> str:
             return f"({walk(node)})"
         return walk(node)
 
-    def strip_neg(node: Expr) -> tuple[int, Expr]:
-        # pull a leading minus sign out of a constant or product
-        if isinstance(node, Const) and node.value < 0:
-            return -1, Const(-node.value)
-        if isinstance(node, Mul) and node.factors:
-            head = node.factors[0]
-            if isinstance(head, Const) and head.value < 0:
-                rest = node.factors[1:]
-                if not rest:
-                    return -1, Const(-head.value)
-                if head.value == -1:
-                    return -1, rest[0] if len(rest) == 1 else Mul(rest)
-                return -1, Mul((Const(-head.value), *rest))
-        return 1, node
-
-    def split_sign(node: Expr) -> tuple[int, str]:
-        sign, magnitude = strip_neg(node)
-        return sign, walk(magnitude)
+    def negated(node: Expr) -> str | None:
+        # the text of -node when node carries a negative rational, else None
+        value, rest = _split_rational(node)
+        if value >= 0:
+            return None
+        parts = [factor(f) for f in rest]
+        if value != -1 or not parts:
+            parts.insert(0, _format_const(-value))
+        return "*".join(parts)
 
     def walk(node: Expr) -> str:
         if isinstance(node, Const):
@@ -121,20 +124,20 @@ def format_expr(e: Expr, namer: Callable[[Sym], str] = spell_symbol) -> str:
         if isinstance(node, Mul):
             if not node.factors:
                 return "1"
-            head = node.factors[0]
-            if isinstance(head, Const) and head.value < 0:
-                sign, magnitude = strip_neg(node)
-                return f"-{atom(magnitude)}" if isinstance(magnitude, Add) \
-                    else f"-{walk(magnitude)}"
+            text = negated(node)
+            if text is not None:
+                return f"-{text}"
             return "*".join(factor(f) for f in node.factors)
         if isinstance(node, Add):
             if not node.terms:
                 return "0"
-            sign, text = split_sign(node.terms[0])
-            out = [f"-{text}" if sign < 0 else text]
-            for term in node.terms[1:]:
-                sign, text = split_sign(term)
-                out.append(f" - {text}" if sign < 0 else f" + {text}")
+            out = []
+            for i, term in enumerate(node.terms):
+                text = negated(term)
+                if text is not None:
+                    out.append(f" - {text}" if i else f"-{text}")
+                else:
+                    out.append(f" + {walk(term)}" if i else walk(term))
             return "".join(out)
         raise TypeError(f"not an expression node: {node!r}")
 

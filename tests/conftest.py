@@ -14,9 +14,9 @@ from chronexp import (
     Pow,
     eval_num,
     lie_coefficients,
-    normalize,
     parse_problem,
 )
+from chronexp.expr import _terms
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,11 +39,11 @@ def perturbed(sol, field, order, delta):
     """sol with the rational delta added to coefficient ``order`` of field
     ``field``, the shape of a wrong solve.
     """
-    coeffs = [list(column) for column in sol.coeffs]
-    coeffs[field][order] = normalize(Add((coeffs[field][order],
-                                          Const(delta))))
+    terms = [list(column) for column in sol.terms]
+    terms[field][order] = _terms(Add((sol.coeffs[field][order],
+                                      Const(delta))))
     return dataclasses.replace(
-        sol, coeffs=tuple(tuple(column) for column in coeffs))
+        sol, terms=tuple(tuple(column) for column in terms))
 
 
 @pytest.fixture

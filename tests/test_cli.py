@@ -325,6 +325,38 @@ class TestEval:
         assert err == ("chronexp: error: initial expressions may use only "
                        "space variables, found 'k'\n")
 
+    @pytest.mark.parametrize("time,params,rhs,error", [
+        ({"name": "t", "initial": 0}, ["k"], "-k*u_xx", "'k'"),
+        ({"name": "t", "initial": "a"}, [], "-u_xx", "'a'"),
+        ({"name": "t", "initial": "a"}, ["k", "m"], "-k*m*u_xx",
+         "'a', 'k', 'm'"),
+    ], ids=["parameter", "initial-time", "all"])
+    def test_pde_symbols_without_binding(self, tmp_path, capsys, monkeypatch,
+                                         time, params, rhs, error):
+        # pde eval binds only the initial expression, so a parameter or a
+        # symbolic initial time in the problem is an input error, raised
+        # before the solve
+        doc = {"kind": "pde", "time": time, "space": ["x"], "fields": ["u"],
+               "params": params, "rhs": {"u": rhs}}
+        path = tmp_path / "unbound.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "lie_coefficients", None)
+        code, out, err = run(capsys, "eval", str(path), "--ic", "sin(x)",
+                             "--t", "0.1", "--x", "0.3")
+        assert (code, out) == (1, "")
+        assert err == ("chronexp: error: pde eval takes only the initial "
+                       f"expression in --ic, so nothing binds {error}\n")
+
+    def test_pde_parameter_declared_but_unused(self, tmp_path, capsys):
+        doc = json.loads((FIXTURES / "heat.json").read_text())
+        doc["params"] = ["k"]
+        path = tmp_path / "kheat.json"
+        path.write_text(json.dumps(doc))
+        argv = ["--ic", "sin(x)", "--t", "0.1", "--x", "0.3"]
+        got = run(capsys, "eval", str(path), *argv)
+        assert got == run(capsys, "eval", fx("heat"), *argv)
+        assert got[:2] == (0, "0.1\t0.3\t0.26739774\n")
+
 
 # ---------------------------------------------------------------------------
 # verify

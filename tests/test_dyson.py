@@ -2,7 +2,6 @@
 matrix product integral with its inverse identity.
 """
 
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -11,8 +10,6 @@ import numpy as np
 import pytest
 
 from chronexp import (
-    Add,
-    Const,
     ExpressionBlowup,
     MatrixPath,
     NonFiniteValue,
@@ -38,7 +35,7 @@ from chronexp import (
 from chronexp.dyson import ConvergenceReport
 from chronexp.series import compose
 
-from conftest import load_fixture
+from conftest import load_fixture, perturbed
 
 POLYNOMIAL_FIXTURES = ["exponential", "riccati", "linear_time", "harmonic",
                        "lotka_volterra"]
@@ -186,10 +183,7 @@ class TestChronEquiv:
     def test_reports_wrong_coefficient_of_second_field(self):
         p = load_fixture("lotka_volterra")
         sol = solve(p, 6)
-        coeffs = [list(column) for column in sol.coeffs]
-        coeffs[1][4] = normalize(Add((coeffs[1][4], Const(Fraction(1)))))
-        broken = dataclasses.replace(
-            sol, coeffs=tuple(tuple(column) for column in coeffs))
+        broken = perturbed(sol, 1, 4, Fraction(1))
         report = chron_equiv_check(broken)
         assert p.field_names[1] == "v"
         assert (report.failing_field, report.failing_order) == ("v", 4)

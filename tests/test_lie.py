@@ -232,17 +232,40 @@ class TestLoopTerms:
     @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
     def test_terms_are_those_of_the_coefficients(self, entry):
         sol = lie_coefficients(entry.problem, 6)
-        assert "terms" in vars(sol)     # handed over, not expanded again
         assert sol.terms == tuple(tuple(map(_terms, column))
                                   for column in sol.coeffs)
 
     def test_replaced_series_reads_its_own_coefficients(self, riccati):
         sol = lie_coefficients(riccati, 5)
         broken = perturbed(sol, 0, 3, Fraction(1))
-        assert "terms" not in vars(broken)
         assert broken.terms[0][3] == _terms(broken.coeffs[0][3])
         assert broken.terms[0][3] != sol.terms[0][3]
         assert broken.terms[0][:3] == sol.terms[0][:3]
+
+    def test_retargeted_series_keeps_its_term_dicts(self, riccati):
+        flipped = parse_problem(
+            (FIXTURES / "corrupt" / "riccati.json").read_text())
+        sol = lie_coefficients(riccati, 4)
+        assert dataclasses.replace(sol, problem=flipped).terms is sol.terms
+
+
+class TestSeriesChecks:
+    """A SeriesSolution rejects term dicts that cannot be a series of its
+    problem.
+    """
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda column: (column, column), "one coefficient column per field"),
+        (lambda column: (column[:-1],), "column length mismatch"),
+        (lambda column: ((_terms(const(2)),) + column[1:],),
+         "order-0 coefficient must be the initial datum"),
+        (lambda column: ((column[0], _terms(TIME)) + column[2:],),
+         "must not contain t"),
+    ], ids=["fields", "length", "order-0", "time"])
+    def test_rejects(self, riccati, corrupt, message):
+        sol = lie_coefficients(riccati, 3)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(sol, terms=corrupt(sol.terms[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +495,7 @@ class TestSharedJetTables:
         G = normalize(parse_expression("c*c_x", p))
         assert residual_check(sol).passed
         assert check_homomorphism(sol, G, 4).passed
-        column = list(sol.coeffs[0])
-        column[3] = normalize(Add((column[3], const(1))))
-        broken = dataclasses.replace(sol, coeffs=(tuple(column),))
+        broken = perturbed(sol, 0, 3, Fraction(1))
         assert residual_check(broken).failing_order == 3
         assert check_homomorphism(broken, G, 4).failing_order == 3
         assert residual_check(sol).passed

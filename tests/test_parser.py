@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from chronexp import (
+    Add,
     Mul,
     ParseError,
     Pow,
@@ -384,6 +385,24 @@ class TestRender:
             e = normalize(random_expr(rng, symbols))
             text = render(e, p)
             assert parse_expression(text, ctx) == e, text
+
+    def test_negated_sum_keeps_its_parentheses(self):
+        # A summand with a negative rational prints its other factors each
+        # as a product factor, so a negated sum stays in parentheses; raw
+        # trees as well as canonical ones read back to the same value.
+        p = load_fixture("burgers")
+        ctx = p.context()
+        symbols = [TIME, jet(0, (0,)), jet(0, (1,)), jet(0, (2,))]
+        c, c_x, c_xx = symbols[1:]
+        negated = Add((c, Mul((const(-1), Add((c_x, c_xx))))))
+        assert render(negated, p) == "c - (c_x + c_xx)"
+        rng = random.Random(41)
+        trees = [negated, Add((c_x, Mul((const(-1), Add((
+            const(-1), const(Fraction(1, 2))))))))]
+        trees += [random_expr(rng, symbols) for _ in range(2000)]
+        for e in trees:
+            text = render(e, p)
+            assert normalize(parse_expression(text, ctx)) == normalize(e), text
 
     def test_field_style_round_trip(self):
         p = load_fixture("burgers")
