@@ -234,6 +234,9 @@ def cmd_eval(args) -> int:
         raise InputError("--t needs at least one value")
     # every input is checked before the solve, which may take long
     if problem.kind == "pde":
+        if len(problem.space_names) > 1:
+            raise InputError("--x takes one coordinate per point, so eval "
+                             "cannot sample a pde in 2+ space variables")
         if args.x is None:
             raise InputError("pde evaluation needs --x sample points")
         x_values = _float_list(args.x, "--x")
@@ -406,10 +409,9 @@ def _verify_file(args) -> list[dict]:
                 f"defining equation [vs catalog {stem}]", False,
                 "problem shape differs from the catalog entry"))
 
-    if problem.kind in ("ode", "system"):
-        equiv = chron_equiv_check(sol, args.term_budget)
-        reports.append(_report("chronological equivalence", equiv.passed,
-                               equiv.summary()))
+    equiv = chron_equiv_check(sol, args.term_budget)
+    reports.append(_report("chronological equivalence", equiv.passed,
+                           equiv.summary()))
 
     hom = check_homomorphism(sol, _product_test_function(problem),
                              min(order, MAX_HOMOMORPHISM_ORDER),

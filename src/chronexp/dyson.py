@@ -3,10 +3,10 @@
 Two routes certify the solution operator independently of the Lie-series
 machinery:
 
-* the integral form u = c - int_a^t F(tau, u), whose fixed point
-  ``series.compose_terms`` expands one order at a time, every field of a
-  system in one call, and whose Picard iterates are the applied
-  opposed-chronological series, and
+* the integral form u = c - int_a^t F(tau, u) of an ode, system or pde,
+  whose fixed point ``series.compose_terms`` expands one order at a time,
+  every field and every jet in one call, and whose Picard iterates are the
+  applied opposed-chronological series, and
 * a numeric midpoint product integral for linear matrix problems,
   approximating the time-ordered exponential E and its inverse, with the
   inverse identity E_inv * E = I checked in the infinity norm.
@@ -21,17 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .errors import NonFiniteValue, NonPolynomialRhs
+from .errors import NonFiniteValue
 from .expr import (
     ONE,
     Expr,
     Fraction,
-    SymbolKind,
     TIME,
     _build,
     _scaled,
     _terms,
-    symbols_of,
 )
 from .lie import DEFAULT_TERM_BUDGET, SeriesSolution
 from .parser import ProblemSpec
@@ -48,15 +46,6 @@ EXPM_TOL = 1e-13
 # Symbolic Picard-Volterra iteration
 # ---------------------------------------------------------------------------
 
-def _require_ode(p: ProblemSpec) -> None:
-    for fname, rhs in zip(p.field_names, p.rhs):
-        for symbol in symbols_of(rhs):
-            if symbol.kind == SymbolKind.JET and any(symbol.orders):
-                raise NonPolynomialRhs(
-                    f"rhs['{fname}'] contains derivative jets; the Picard "
-                    "oracle covers ode and system problems only")
-
-
 def picard_iterate(p: ProblemSpec, k: int) -> tuple[Expr, ...]:
     """k rounds of u^(j) = c - int_a^t F(tau, u^(j-1)(tau)) dtau with exact
     polynomial integration: per field, a polynomial in (t - a) whose orders
@@ -65,7 +54,6 @@ def picard_iterate(p: ProblemSpec, k: int) -> tuple[Expr, ...]:
     The iterate is untruncated (its degree can reach 2^k scale for
     quadratic rhs), so the rhs must be polynomial in time and fields.
     """
-    _require_ode(p)
     seeds = [p.jet_symbol(i) for i in range(p.n_fields)]
     columns = [[_terms(seed)] for seed in seeds]
     for _ in range(k):
@@ -92,7 +80,6 @@ def chron_equiv_check(sol: SeriesSolution,
     the solved Lie series term by term, from order 0.
     """
     p = sol.problem
-    _require_ode(p)
     fields = {p.jet_symbol(i): rhs for i, rhs in enumerate(p.rhs)}
     mapped = {TIME: [_terms(p.initial_time), _terms(ONE)]}
     picard = compose_terms(list(fields), mapped, sol.order, fields,

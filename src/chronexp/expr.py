@@ -441,6 +441,27 @@ def diff(e: Expr, sym: Sym) -> Expr:
                           lambda s: {(): Fraction(1)} if s == sym else {}))
 
 
+def _total_derivative(terms: _Terms, space_index: int) -> _Terms:
+    """D_{x_j} on jet expressions: the derivation sending x_j to 1 and each
+    jet Jet(k, alpha) to Jet(k, alpha + e_j).
+    """
+    def rule(s: Sym) -> _Terms:
+        if s.kind == SymbolKind.JET:
+            return _terms(jet(s.index, tuple(k + 1 if i == space_index else k
+                                             for i, k in enumerate(s.orders))))
+        return _terms(ONE) if s == space_var(space_index) else {}
+
+    return _derive(terms, rule)
+
+
+def _lowered(s: Sym) -> tuple[int, Sym] | None:
+    """(j, Jet(k, alpha - e_j)), j the first nonzero index of alpha."""
+    for j, n in enumerate(s.orders):
+        if n:
+            return j, jet(s.index, s.orders[:j] + (n - 1,) + s.orders[j + 1:])
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------

@@ -37,12 +37,13 @@ from .expr import (
     _at_time,
     _build,
     _derive,
+    _lowered,
     _scaled,
     _term_symbols,
     _terms,
+    _total_derivative,
     diff,
     eval_num,
-    jet,
     jets_of,
     normalize,
     space_var,
@@ -63,29 +64,17 @@ def jet_derivatives(bases: Sequence[_Terms]) -> Callable[[Sym], _Terms]:
     """
     @cache
     def derive(jsym: Sym) -> _Terms:
-        orders = jsym.orders
-        if not any(orders):
+        if not any(jsym.orders):
             return bases[jsym.index]
-        j = next(i for i, n in enumerate(orders) if n)
-        lower = tuple(n - 1 if i == j else n for i, n in enumerate(orders))
-        return total_derivative(derive(jet(jsym.index, lower)), j)
+        j, lower = _lowered(jsym)
+        return total_derivative(derive(lower), j)
 
     return derive
 
 
 def total_derivative(e: _Terms, space_index: int) -> _Terms:
-    """Total space derivative on jet expressions in term form:
-    D_{x_j} e = de/dx_j + sum over jets of Jet(k, alpha+e_j) * de/dJet(k, alpha),
-    the derivation sending x_j to 1 and each jet to its bumped jet.
-    """
-    def rule(s: Sym) -> _Terms:
-        if s.kind == SymbolKind.JET:
-            up = tuple(k + 1 if i == space_index else k
-                       for i, k in enumerate(s.orders))
-            return _terms(jet(s.index, up))
-        return _terms(ONE) if s == space_var(space_index) else {}
-
-    return _derive(e, rule)
+    """expr._total_derivative; perfbench and the tests look this name up."""
+    return _total_derivative(e, space_index)
 
 
 def apply_generator(rates: Callable[[Sym], Expr], e: Expr) -> Expr:
@@ -227,19 +216,6 @@ def taylor_coefficients(e: Expr, point: Expr, order: int) -> list[Expr]:
     return compose([normalize(e)], {TIME: [point, ONE]}, order)[0]
 
 
-def _jet_series(sol: SeriesSolution,
-                count: int) -> Callable[[Sym], list[_Terms]]:
-    """The first ``count`` series coefficients of every jet of the solution,
-    in term form.
-
-    D_x^alpha acts on the series coefficient by coefficient, so coefficient
-    n of jet (k, alpha) is D_x^alpha C_{k,n}: one memoized table per order.
-    """
-    tables = [jet_derivatives([column[n] for column in sol.terms])
-              for n in range(count)]
-    return lambda jsym: [derive(jsym) for derive in tables]
-
-
 def residual_check(sol: SeriesSolution,
                    term_budget: int = DEFAULT_TERM_BUDGET) -> OrderCheck:
     """Verify the defining equation order by order.
@@ -252,11 +228,8 @@ def residual_check(sol: SeriesSolution,
     ``residual_check(dataclasses.replace(sol, problem=other))``.
     """
     problem = sol.problem
-    jet_series = _jet_series(sol, sol.order)
-    mapped = {TIME: [_terms(problem.initial_time), _terms(ONE)]}
-    for rhs in problem.rhs:
-        for jsym in jets_of(rhs):
-            mapped[jsym] = jet_series(jsym)
+    mapped = {problem.jet_symbol(i): c for i, c in enumerate(sol.terms)}
+    mapped[TIME] = [_terms(problem.initial_time), _terms(ONE)]
     forcings = compose_terms(problem.rhs, mapped, sol.order - 1,
                              term_budget=term_budget)
     return OrderCheck.of(
@@ -276,8 +249,8 @@ def check_homomorphism(sol: SeriesSolution, G: Expr, order: int,
                        term_budget: int = DEFAULT_TERM_BUDGET) -> OrderCheck:
     """Compare the Lie series seeded with G, stepped by A as one ``_derive``
     rule (t to -1, jet (k, alpha) to D_x^alpha F_k) and not by the solver's
-    apply_generator, against G composed with the solved per-jet series,
-    orders 0..order, as exact term dicts, in one verdict row labelled G.
+    apply_generator, against G composed with the solved series and their
+    jets, orders 0..order, as exact term dicts, in one verdict row labelled G.
     """
     if order > sol.order:
         raise ValueError(f"order {order} exceeds the series order {sol.order}")
@@ -290,9 +263,8 @@ def check_homomorphism(sol: SeriesSolution, G: Expr, order: int,
 
     lhs = _lie_terms(lambda d: _derive(d, rule), _terms(G),
                      sol.problem.initial_time, order, term_budget)
-    jet_series = _jet_series(sol, order + 1)
-    rhs = compose_terms([G], {jsym: jet_series(jsym) for jsym in jets_of(G)},
-                        order, term_budget=term_budget)[0]
+    columns = {sol.problem.jet_symbol(i): c for i, c in enumerate(sol.terms)}
+    rhs = compose_terms([G], columns, order, term_budget=term_budget)[0]
     return OrderCheck.of(
         ("G",), 0, [[l == r for l, r in zip(lhs, rhs)]],
         "homomorphism exact through order {last}",

@@ -21,7 +21,8 @@ accumulated into one dict by ``expr._mul_add``, with no dict per product.
 ``compose_terms`` takes and returns coefficients in that form, so the
 oracles compare them as dicts; ``compose`` is its face for trees.  One call
 expands several roots over one node table, such as every field of a
-coupled system.
+coupled system.  Coefficient n of a derivative jet is D_{x_j} of
+coefficient n of the jet one order lower, so a caller maps base jets only.
 
 This module never sees the generator: the residual, Picard and
 homomorphism oracles rest on it independently of the Lie series, and each
@@ -48,11 +49,13 @@ from .expr import (
     TIME,
     _Terms,
     _build,
+    _lowered,
     _mul_add,
     _pow_terms,
     _scaled,
     _sum,
     _terms,
+    _total_derivative,
     normalize,
 )
 
@@ -198,6 +201,10 @@ def compose_terms(roots: Sequence[Expr],
             f = series_of(integrals[node])
             s.step = lambda n: _terms(node) if n == 0 else _scaled(
                 Fraction(-1, n), f[n - 1])
+        elif isinstance(node, Sym) and (lowered := _lowered(node)):
+            j, lower = lowered[0], series_of(lowered[1])
+            s.degree = lower.degree
+            s.step = lambda n: _total_derivative(lower[n], j)
         elif isinstance(node, (Const, Sym)):
             s.degree = 0
             s.step = lambda n: _terms(node)

@@ -23,6 +23,12 @@ from chronexp.cli import main
 from conftest import FIXTURES
 
 
+# A pde in the plane whose rhs names one space variable explicitly.
+PLANE = {"kind": "pde", "time": {"name": "t", "initial": "0"},
+         "space": ["x", "y"], "fields": ["u"],
+         "rhs": {"u": "-u_xx - u_yy + x*u_y"}}
+
+
 def fx(name):
     return str(FIXTURES / f"{name}.json")
 
@@ -357,6 +363,18 @@ class TestEval:
         assert got == run(capsys, "eval", fx("heat"), *argv)
         assert got[:2] == (0, "0.1\t0.3\t0.26739774\n")
 
+    def test_pde_in_two_space_variables(self, tmp_path, capsys, monkeypatch):
+        # --x gives one coordinate per point, so a point in the plane has
+        # no syntax; the gap is named before the solve
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(PLANE))
+        monkeypatch.setattr(cli, "lie_coefficients", None)
+        code, out, err = run(capsys, "eval", str(path), "--ic",
+                             "sin(x)*sin(y)", "--x=0.5", "--t=0.1")
+        assert (code, out) == (1, "")
+        assert err == ("chronexp: error: --x takes one coordinate per point, "
+                       "so eval cannot sample a pde in 2+ space variables\n")
+
 
 # ---------------------------------------------------------------------------
 # verify
@@ -456,12 +474,26 @@ class TestVerify:
                        "exceeds 1 monomials\n")
         code, out, _ = run(capsys, "verify", str(path), "--term-budget", "2")
         assert code == 0
-        assert out.endswith("2/2 checks passed\n")
+        assert out.endswith("3/3 checks passed\n")
 
     def test_pde_file_mode(self, capsys):
         code, out, _ = run(capsys, "verify", fx("heat"), "--order", "4")
         assert code == 0
         assert "homomorphism" in out
+
+    def test_pde_in_two_space_variables(self, tmp_path, capsys):
+        # x*u_y needs D_y of the explicit x to be 0 and D_y u_y to be u_yy:
+        # every exact route derives the plane's jets from its base jet.
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(PLANE))
+        code, out, _ = run(capsys, "verify", str(path), "--order", "4")
+        assert (code, out) == (0, (
+            "PASS defining equation [self]: residual zero through order 3 "
+            "for fields u\n"
+            "PASS chronological equivalence: chronological and exponential "
+            "series agree exactly through order 4\n"
+            "PASS homomorphism: homomorphism exact through order 4\n"
+            "3/3 checks passed\n"))
 
     def test_dyson_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "dyson")
@@ -543,7 +575,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", fx("kdv"), "--order", "4",
                            "--term-budget", "59")
         assert code == 0
-        assert out.endswith("2/2 checks passed\n")
+        assert out.endswith("3/3 checks passed\n")
 
     def test_term_budget_reaches_suite_solves(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "homomorphism",
@@ -610,3 +642,15 @@ class TestTopLevel:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "solve" in out and "verify" in out
+
+    def test_runs_as_a_module(self):
+        # python -m chronexp, as from a source checkout
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "chronexp", "solve", fx("riccati"),
+             "--order", "8"], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=300)
+        golden = (FIXTURES.parent / "golden" / "riccati" /
+                  "solve-text-8.txt").read_text()
+        assert (proc.returncode, proc.stdout) == (
+            0, golden.split("\n", 1)[1])

@@ -39,6 +39,7 @@ from conftest import load_fixture, perturbed
 
 POLYNOMIAL_FIXTURES = ["exponential", "riccati", "linear_time", "harmonic",
                        "lotka_volterra"]
+PDE_FIXTURES = ["transport", "heat", "burgers", "kdv"]
 
 
 def expect(problem, text):
@@ -109,9 +110,15 @@ class TestPicard:
             got, = compose([c], {TIME: [a, ONE]}, k, fields)
             assert got == taylor_coefficients(it[i], a, k)
 
-    def test_rejects_pde(self, heat):
-        with pytest.raises(NonPolynomialRhs):
-            picard_iterate(heat, 2)
+    @pytest.mark.parametrize("name,k", [("heat", 1), ("heat", 3),
+                                        ("burgers", 3)])
+    def test_pde_iterate_matches_the_series(self, name, k):
+        # The jets of each iterate are D_x of its coefficients: u_xx of
+        # c - t*c_xx is c_xx - t*c_xxxx.
+        p = load_fixture(name)
+        it = picard_iterate(p, k)
+        got = taylor_coefficients(it[0], p.initial_time, k)
+        assert got == list(lie_coefficients(p, k).coeffs[0])
 
     def test_rejects_transcendental_rhs(self):
         doc = {"kind": "ode", "time": {"name": "t", "initial": "0"},
@@ -161,9 +168,21 @@ class TestChronEquiv:
         assert report.passed, report.__dict__
         assert report.orders_equal == ((True,) * 6,)
 
-    def test_rejects_pde(self, heat):
-        with pytest.raises(NonPolynomialRhs):
-            chron_equiv_check(solve(heat, 4))
+    @pytest.mark.parametrize("name", PDE_FIXTURES)
+    def test_pde_catalog(self, name):
+        # Each derivative jet of the fixed point is D_x of the jet one
+        # order lower, coefficient by coefficient.
+        report = chron_equiv_check(solve(load_fixture(name), 4))
+        assert report.passed, report.__dict__
+        assert report.orders_equal == ((True,) * 5,)
+
+    @pytest.mark.parametrize("name", PDE_FIXTURES)
+    def test_names_a_corrupted_pde_coefficient(self, name):
+        broken = perturbed(solve(load_fixture(name), 4), 0, 3,
+                           Fraction(1, 7))
+        report = chron_equiv_check(broken)
+        assert (report.failing_field, report.failing_order) == ("u", 3)
+        assert report.orders_equal == ((True,) * 3 + (False, True),)
 
     def test_detects_tampered_series(self, riccati):
         # Flip the rhs sign: both constructions track the flipped

@@ -4,9 +4,10 @@ A derandomized strategy writes whole problem documents, so the parser is
 covered too: an ode, a two-field system or a pde in u, u_x and u_xx, whose
 right-hand sides combine the fields, t and small integers with + - * ^2 ^3
 sin cos exp.  Each solved series must pass the residual, homomorphism and
-(for odes and systems) integral-form checks; on a system the last shows
-that the Picard fixed point equals the Lie series.  The term dicts the
-solver hands those checks must be the dicts of its printed coefficients.  A rational added to one
+integral-form checks; the last shows that the Picard fixed point, whose
+jets are derived coefficient by coefficient, equals the Lie series.  The
+term dicts the solver hands those checks must be the dicts of its printed
+coefficients.  A rational added to one
 coefficient must then be reported by the residual and the integral form at
 exactly that field and order.  A problem whose series outgrows the term
 budget stops with ExpressionBlowup, the budget's documented outcome, and is
@@ -100,9 +101,8 @@ def test_generated_problems_pass_and_faults_are_named(doc, data):
         assert sol.terms == tuple(tuple(map(_terms, column))
                                   for column in sol.coeffs)
         reports = [residual_check(sol, BUDGET),
-                   check_homomorphism(sol, G, ORDER, BUDGET)]
-        if odelike:
-            reports.append(chron_equiv_check(sol, BUDGET))
+                   check_homomorphism(sol, G, ORDER, BUDGET),
+                   chron_equiv_check(sol, BUDGET)]
     except ExpressionBlowup:
         reject()   # past the budget: exit 2 from the command line, no verdict
     assert all(report.passed for report in reports), reports
@@ -112,9 +112,8 @@ def test_generated_problems_pass_and_faults_are_named(doc, data):
     want = (p.field_names[field], order)
     residual = residual_check(broken, BUDGET)
     assert (residual.failing_field, residual.failing_order) == want
-    if odelike:
-        equiv = chron_equiv_check(broken, BUDGET)
-        assert (equiv.failing_field, equiv.failing_order) == want
+    equiv = chron_equiv_check(broken, BUDGET)
+    assert (equiv.failing_field, equiv.failing_order) == want
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,

@@ -78,11 +78,14 @@ def generator_names(*roots: str) -> dict[str, set[str]]:
 
 
 def test_residual_route_never_names_the_generator():
-    # residual_check and the jet helper it shares with the homomorphism
-    # check.
-    named = generator_names("residual_check", "_jet_series")
-    assert {name: used for name, used in named.items() if used} == {}
-    assert {"jet_derivatives", "total_derivative"} <= named.keys()
+    # residual_check maps each field's base jet and calls no other lie.py
+    # function: compose_terms derives every other jet by the lowering and
+    # the total-derivative rule it shares with jet_derivatives.
+    named = generator_names("residual_check")
+    assert named == {"residual_check": set()}
+    compose_terms = next(node for node in ast.walk(parse("series"))
+                         if getattr(node, "name", None) == "compose_terms")
+    assert {"_lowered", "_total_derivative"} <= names_used(compose_terms)
 
 
 def test_homomorphism_lie_side_never_names_the_generator():

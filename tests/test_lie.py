@@ -327,6 +327,21 @@ class TestEvalSeries:
         value = eval_series(sol, [0.05], bind)[0][0]
         assert abs(value - math.exp(-0.05) * math.sin(0.3)) <= 1e-10
 
+    def test_heat_in_the_plane(self):
+        # u_t = u_xx + u_yy from sin x sin y is e^(-2t) sin x sin y; the
+        # jets c_xxyy and the like mix both space indices.
+        p = parse_problem(json.dumps({
+            "kind": "pde", "time": {"name": "t", "initial": "0"},
+            "space": ["x", "y"], "fields": ["u"],
+            "rhs": {"u": "-u_xx - u_yy"}}))
+        sol = lie_coefficients(p, 8)
+        ic = [normalize(parse_expression("sin(x)*sin(y)", p.context()))]
+        points = [[0.3, 0.7], [1.1, -0.4]]
+        for (x, y), bind in zip(points, initial_jet_bindings(sol, ic, points)):
+            (value,), = eval_series(sol, [0.1], bind)
+            assert abs(value - math.exp(-0.2) * math.sin(x) * math.sin(y)) \
+                <= 1e-11
+
     def test_unbound_jet(self, riccati):
         sol = lie_coefficients(riccati, 4)
         with pytest.raises(UnboundSymbol):
