@@ -212,22 +212,41 @@ def sort_key(e: Expr) -> tuple:
 # Normalization
 # ---------------------------------------------------------------------------
 #
-# Internal normal form: a mapping monomial -> nonzero rational coefficient,
-# where a monomial is a sorted tuple of (atom, integer exponent) pairs and an
-# atom is a Sym, a Func with canonical argument, or a canonical Add kept as
-# the base of a negative power.  Products distribute over sums and positive
-# integer powers of sums are expanded, so polynomials reach a unique form.
+# Internal normal form: a mapping monomial -> nonzero rational coefficient.
+# An atom is a Sym, a Func with canonical argument, or a canonical Add kept
+# as the base of a negative power.  Each atom is interned once, in a
+# process-wide append-only table, under a small int id with its sort_key;
+# a monomial is a tuple of (id, integer exponent) pairs sorted by id, so
+# products and dict lookups hash ints only.  The canonical sort_key order
+# is applied only where output depends on it: _build's factor and summand
+# order and _content_split's leading monomial.  Products distribute over
+# sums and positive integer powers of sums are expanded, so polynomials
+# reach a unique form.
 
 _Mono = tuple
 _Terms = dict
 
+_ATOMS: list[Expr] = []          # id -> atom
+_KEYS: list[tuple] = []          # id -> sort_key(atom)
+_IDS: dict[Expr, int] = {}       # atom -> id
+
 
 def _mono_of(atom: Expr, exponent: int = 1) -> _Mono:
-    return ((atom, exponent),)
+    i = _IDS.get(atom)
+    if i is None:
+        i = _IDS[atom] = len(_ATOMS)
+        _ATOMS.append(atom)
+        _KEYS.append(sort_key(atom))
+    return ((i, exponent),)
+
+
+def _canonical(mono: _Mono) -> list:
+    """The (id, exponent) pairs of ``mono`` in canonical atom order."""
+    return sorted(mono, key=lambda item: _KEYS[item[0]])
 
 
 def _mono_key(mono: _Mono) -> tuple:
-    return tuple((sort_key(atom), k) for atom, k in mono)
+    return tuple((_KEYS[i], k) for i, k in _canonical(mono))
 
 
 def _content_split(terms: _Terms) -> tuple[Fraction, _Terms]:
@@ -251,14 +270,14 @@ def _merge_monos(a: _Mono, b: _Mono) -> _Mono:
         return b
     if not b:
         return a
-    acc: dict[Expr, int] = dict(a)
-    for atom, k in b:
-        total = acc.get(atom, 0) + k
+    acc: dict[int, int] = dict(a)
+    for i, k in b:
+        total = acc.get(i, 0) + k
         if total:
-            acc[atom] = total
+            acc[i] = total
         else:
-            del acc[atom]
-    return tuple(sorted(acc.items(), key=lambda item: sort_key(item[0])))
+            del acc[i]
+    return tuple(sorted(acc.items()))
 
 
 def _add_terms(acc: _Terms, extra: _Terms) -> None:
@@ -312,12 +331,12 @@ def _pow_terms(base: _Terms, n: int) -> _Terms:
         (mono, coeff), = base.items()
         # A sum atom whose exponent turns positive is expanded, as a
         # positive power of a sum is below, so the result stays canonical.
-        kept = tuple((atom, k * n) for atom, k in mono
-                     if k * n < 0 or not isinstance(atom, Add))
+        kept = tuple((i, k * n) for i, k in mono
+                     if k * n < 0 or not isinstance(_ATOMS[i], Add))
         out = {kept: coeff ** n}
-        for atom, k in mono:
-            if k * n > 0 and isinstance(atom, Add):
-                out = _mul_terms(out, _pow_terms(_terms(atom), k * n))
+        for i, k in mono:
+            if k * n > 0 and isinstance(_ATOMS[i], Add):
+                out = _mul_terms(out, _pow_terms(_terms(_ATOMS[i]), k * n))
         return out
     if n > 0:
         result = base
@@ -377,7 +396,8 @@ def _build(terms: _Terms) -> Expr:
 
     built = []
     for mono, coeff in sorted(terms.items(), key=lambda item: _mono_key(item[0])):
-        factors = [atom if k == 1 else Pow(atom, k) for atom, k in mono]
+        factors = [_ATOMS[i] if k == 1 else Pow(_ATOMS[i], k)
+                   for i, k in _canonical(mono)]
         if not factors:
             built.append(Const(coeff))
         elif coeff == 1:
@@ -410,7 +430,8 @@ def _derive(terms: _Terms, rule: Callable[[Sym], _Terms]) -> _Terms:
     the derivation of its terms; each atom is differentiated once.
     """
     @cache
-    def of_atom(atom: Expr) -> _Terms:
+    def of_atom(i: int) -> _Terms:
+        atom = _ATOMS[i]
         if isinstance(atom, Sym):
             return rule(atom)
         if isinstance(atom, Func):
@@ -422,11 +443,11 @@ def _derive(terms: _Terms, rule: Callable[[Sym], _Terms]) -> _Terms:
     def of_terms(terms: _Terms) -> _Terms:
         out: _Terms = {}
         for mono, coeff in terms.items():
-            for i, (atom, k) in enumerate(mono):
-                d = of_atom(atom)
+            for j, (i, k) in enumerate(mono):
+                d = of_atom(i)
                 if d:
-                    lowered = ((atom, k - 1),) if k != 1 else ()
-                    rest = mono[:i] + lowered + mono[i + 1:]
+                    lowered = ((i, k - 1),) if k != 1 else ()
+                    rest = mono[:j] + lowered + mono[j + 1:]
                     _mul_add(out, {rest: coeff * k}, d)
         return out
 
@@ -486,9 +507,9 @@ def _at_time(terms: _Terms, point: Expr) -> _Terms:
     """``_terms(_subst(_build(terms), {TIME: point}))``, rebuilding only the
     monomials in which t occurs.
     """
-    timed = cache(lambda atom: TIME in symbols_of(atom))
+    timed = cache(lambda i: TIME in symbols_of(_ATOMS[i]))
     return _sum(_terms(_subst(_build({mono: coeff}), {TIME: point}))
-                if any(timed(atom) for atom, _ in mono) else {mono: coeff}
+                if any(timed(i) for i, _ in mono) else {mono: coeff}
                 for mono, coeff in terms.items())
 
 
@@ -645,8 +666,8 @@ def symbols_of(e: Expr) -> set[Sym]:
 
 
 def _term_symbols(terms: _Terms) -> set[Sym]:
-    return set().union(*(symbols_of(atom)
-                         for mono in terms for atom, _ in mono))
+    return set().union(*(symbols_of(_ATOMS[i])
+                         for mono in terms for i, _ in mono))
 
 
 def jets_of(e: Expr) -> set[Sym]:

@@ -12,11 +12,13 @@ from chronexp import (
     Func,
     Mul,
     Pow,
+    SymbolKind,
     eval_num,
+    jet,
     lie_coefficients,
     parse_problem,
 )
-from chronexp.expr import _terms
+from chronexp.expr import _derive, _terms
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -44,6 +46,20 @@ def perturbed(sol, field, order, delta):
                                       Const(delta))))
     return dataclasses.replace(
         sol, terms=tuple(tuple(column) for column in terms))
+
+
+def forgets_x(e, space_index):
+    """lie.total_derivative without its x_j -> 1 rule, the shape of a wrong
+    pde prolongation.
+    """
+    def rule(s):
+        if s.kind != SymbolKind.JET:
+            return {}
+        up = tuple(k + 1 if i == space_index else k
+                   for i, k in enumerate(s.orders))
+        return _terms(jet(s.index, up))
+
+    return _derive(e, rule)
 
 
 @pytest.fixture

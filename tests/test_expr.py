@@ -1,8 +1,14 @@
 """Expression kernel: canonical forms, exact arithmetic, derivation rules."""
 
+import json
 import math
+import os
 import random
+import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,7 +39,7 @@ from chronexp import (
 
 from chronexp.series import compose
 
-from conftest import eval_or_none, random_bindings, random_expr
+from conftest import FIXTURES, eval_or_none, random_bindings, random_expr
 
 C = jet(0, ())
 T = TIME
@@ -367,3 +373,50 @@ def test_symbol_ordering_is_stable_across_kinds():
     factors = N(e).factors
     kinds = [f.kind for f in factors]
     assert kinds == sorted(kinds)
+
+
+# Interns the atoms the solves below meet, in canonical order or its
+# reverse as argv[1] says, then runs each later argument as a command line.
+INTERN_FIRST = """
+import shlex, sys
+from chronexp import INITIAL_TIME, TIME, free_param, jet, space_var
+from chronexp.cli import main
+from chronexp.expr import _terms, sort_key
+atoms = [free_param("k"), jet(0, ()), jet(1, ()), TIME, INITIAL_TIME,
+         space_var(0), *(jet(0, (n,)) for n in range(10))]
+for atom in sorted(atoms, key=sort_key, reverse=sys.argv[1] == "reverse"):
+    _terms(atom)
+for argv in sys.argv[2:]:
+    main(shlex.split(argv))
+"""
+
+
+def test_output_does_not_depend_on_intern_order(tmp_path):
+    # Term dicts key atoms by the order a process first meets them; the
+    # printed order of factors, summands and a denominator's sign must
+    # still be the canonical one.
+    rational = tmp_path / "rational.json"
+    rational.write_text(json.dumps({
+        "kind": "system", "time": {"name": "t", "initial": "0"},
+        "fields": ["u", "v"], "rhs": {"u": "1/(u - v)", "v": "u/(v - u)"}}))
+    golden = FIXTURES.parent / "golden"
+    commands = [shlex.join(["solve", str(path), "--order", str(order)])
+                for path, order in ((FIXTURES / "lotka_volterra.json", 8),
+                                    (FIXTURES / "burgers.json", 8),
+                                    (rational, 3))]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(direction):
+        proc = subprocess.run(
+            [sys.executable, "-c", INTERN_FIRST, direction, *commands],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    reverse = run("reverse")
+    want = "".join(
+        (golden / name / "solve-text-8.txt").read_text().split("\n", 1)[1]
+        for name in ("lotka_volterra", "burgers"))
+    assert reverse.startswith(want)
+    assert reverse == run("forward")

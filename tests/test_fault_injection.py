@@ -2,11 +2,12 @@
 
 A rational added to one coefficient of a solved catalog series is the shape
 of a wrong solve.  The residual must name exactly the perturbed field and
-order, and so must the integral form on ode and system problems; the
+order, and so must the integral form, on odes, systems and pdes alike; the
 homomorphism check must fail at that order.  A solver generator that
 drops -d/dt fails the homomorphism check, which steps its own rule for A.
 A wrong pde prolongation is caught by the numeric routes alone (see their
-tests).
+tests); in the tests, the sympy oracle of test_generated_problems.py sees
+it too.
 """
 
 import json
@@ -21,14 +22,12 @@ from hypothesis import strategies as st  # noqa: E402
 from chronexp import (  # noqa: E402
     Add,
     Mul,
-    SymbolKind,
     catalog,
     check_homomorphism,
     chron_equiv_check,
     diff,
     eval_series,
     initial_jet_bindings,
-    jet,
     jets_of,
     lie,
     lie_coefficients,
@@ -38,9 +37,8 @@ from chronexp import (  # noqa: E402
     residual_check,
 )
 from chronexp.cli import main  # noqa: E402
-from chronexp.expr import _derive, _terms  # noqa: E402
 
-from conftest import perturbed  # noqa: E402
+from conftest import forgets_x, perturbed  # noqa: E402
 
 ORDER = 4
 SOLVED = {entry.name: lie_coefficients(entry.problem, ORDER)
@@ -71,10 +69,9 @@ def test_every_exact_route_finds_the_fault(fault):
     assert (residual.failing_field, residual.failing_order) == (
         p.field_names[field], order)
 
-    if p.kind in ("ode", "system"):
-        equiv = chron_equiv_check(broken)
-        assert (equiv.failing_field, equiv.failing_order) == (
-            p.field_names[field], order)
+    equiv = chron_equiv_check(broken)
+    assert (equiv.failing_field, equiv.failing_order) == (
+        p.field_names[field], order)
 
     # G reads the perturbed field: c_k^2, or c_k * c_k,x for a pde.
     c = p.jet_symbol(field)
@@ -107,31 +104,20 @@ def test_generator_without_time_fails_the_homomorphism(capsys, monkeypatch):
         "homomorphism broken at order 2" for g in ("c^2", "c^3")]
 
 
-def forgets_x(e, space_index):
-    """lie.total_derivative without its x_j -> 1 rule."""
-    def rule(s):
-        if s.kind != SymbolKind.JET:
-            return {}
-        up = tuple(k + 1 if i == space_index else k
-                   for i, k in enumerate(s.orders))
-        return _terms(jet(s.index, up))
-
-    return _derive(e, rule)
-
-
 def test_wrong_prolongation_fails_the_reference_comparison(capsys,
                                                            monkeypatch):
     """A total derivative that forgets x_j -> 1 fails the catalog reference
     comparison on heat, transport and burgers.
 
-    The exact routes stay green: the solve, the residual's jet series and
-    both sides of the homomorphism check (its rule's rates D_x^alpha F and
-    its compose side's jet series) all derive jets through the same
-    lie.total_derivative, so they agree with each other however wrong it
-    is (and no catalog pde rhs or coefficient has an explicit x).  Only
-    the reference comparison sees the fault, because initial_jet_bindings
-    derives the jets of the initial functions, sin(x) and the like, through
-    it and the series is evaluated on the wrong initial data.
+    The exact routes stay green.  The solve and the homomorphism check's
+    rule (its rates D_x^alpha F) derive jets through lie.total_derivative,
+    and the residual's and the compose side's jet series through
+    expr._total_derivative, which the patch does not reach; no catalog pde
+    rhs or coefficient has an explicit x, so on the catalog the two rules
+    agree.  Only the reference comparison sees the fault, because
+    initial_jet_bindings derives the jets of the initial functions, sin(x)
+    and the like, through lie.total_derivative and the series is evaluated
+    on the wrong initial data.
     """
     catalog()   # its closed forms are checked once, with the true rule
     monkeypatch.setattr(lie, "total_derivative", forgets_x)

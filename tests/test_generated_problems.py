@@ -17,6 +17,13 @@ Generated odes and systems also go through the numeric route: the series
 evaluated a small step from the initial time must agree with RK4 to within
 a tolerance that scales as |t - a|^(N+1).  Besides ExpressionBlowup, the
 only discard there is RK4's NonFiniteValue, its documented blow-up.
+
+Every route above runs on the one expression kernel.  sympy, where
+installed, checks it from outside: the same strategy, with the space
+variable x among the pde names, is solved through order 3 by sympy's own
+Taylor recursion, each c_k a sympy Function of x, and every coefficient
+must expand to the solver's.  Order 3 caps the size of a document, so the
+check stays within seconds.
 """
 
 import json
@@ -29,13 +36,20 @@ from hypothesis import HealthCheck, given, reject, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chronexp import (  # noqa: E402
+    Add,
+    Const,
     ExpressionBlowup,
+    Func,
     Mul,
     NonFiniteValue,
+    Pow,
+    Sym,
+    SymbolKind,
     check_homomorphism,
     chron_equiv_check,
     eval_num,
     eval_series,
+    lie,
     lie_coefficients,
     normalize,
     parse_problem,
@@ -45,12 +59,14 @@ from chronexp import (  # noqa: E402
 
 from chronexp.expr import _terms  # noqa: E402
 
-from conftest import perturbed  # noqa: E402
+from conftest import forgets_x, perturbed  # noqa: E402
 
 ORDER = 4
 BUDGET = 2000
 NAMES = {"ode": ["u", "t"], "system": ["u", "v", "t"],
          "pde": ["u", "u_x", "u_xx", "t"]}
+NAMES_WITH_X = {**NAMES, "pde": NAMES["pde"] + ["x"]}
+ORACLE_ORDER = 3
 
 
 def rhs_texts(names):
@@ -67,12 +83,12 @@ def rhs_texts(names):
 
 
 @st.composite
-def documents(draw, kinds=tuple(sorted(NAMES))):
+def documents(draw, kinds=tuple(sorted(NAMES)), names=NAMES):
     kind = draw(st.sampled_from(kinds))
     fields = ["u", "v"] if kind == "system" else ["u"]
     doc = {"kind": kind, "time": {"name": "t", "initial": "0"},
            "fields": fields,
-           "rhs": {f: draw(rhs_texts(NAMES[kind])) for f in fields},
+           "rhs": {f: draw(rhs_texts(names[kind])) for f in fields},
            "order": ORDER}
     if kind == "pde":
         doc["space"] = ["x"]
@@ -146,3 +162,96 @@ def test_generated_series_agree_with_rk4(doc, initial):
         got = eval_series(sol, [h], bind)[0]
         tol = scale * (rho * abs(h)) ** (ORDER + 1)
         assert all(abs(g - w) <= tol for g, w in zip(got, want)), (h, got, want)
+
+
+def sympy_taylor(doc, order, sympy):
+    """U_0..U_order of each field by sympy alone: U_0 = c_k, a sympy
+    Function of the space variables, and (n+1) U_{n+1} = -[F]_n, [F]_n the
+    t^n coefficient of the rhs at the series truncated after U_n.
+    """
+    t = sympy.Symbol("t")
+    space = [sympy.Symbol(name) for name in doc.get("space", [])]
+    fields = doc["fields"]
+    U = [[sympy.Function(f"c{k}")(*space) if space else sympy.Symbol(f"c{k}")]
+         for k in range(len(fields))]
+    names = {name: sympy.Symbol(name)
+             for f in fields for name in (f, f + "_x", f + "_xx")}
+    names.update(t=t, **{s.name: s for s in space})
+    rhs = [sympy.parse_expr(doc["rhs"][f].replace("^", "**"),
+                            local_dict=names) for f in fields]
+    for n in range(order):
+        series = [sum(c * t ** m for m, c in enumerate(column))
+                  for column in U]
+        values = {}
+        for f, u in zip(fields, series):
+            values[names[f]] = u
+            if space:
+                values[names[f + "_x"]] = u.diff(space[0])
+                values[names[f + "_xx"]] = u.diff(space[0], 2)
+        for column, F in zip(U, rhs):
+            F_n = F.xreplace(values).diff(t, n).subs(t, 0) / sympy.factorial(n)
+            column.append(sympy.expand(-F_n / (n + 1)))
+    return U
+
+
+def sympy_of_coefficient(e, space, sympy):
+    """A solved coefficient as sympy, jet (k, alpha) the derivative
+    D^alpha c_k of the oracle's c_k.
+    """
+    if isinstance(e, Const):
+        return sympy.Rational(e.value.numerator, e.value.denominator)
+    if isinstance(e, Sym):
+        if e.kind == SymbolKind.SPACE:
+            return space[e.index]
+        assert e.kind == SymbolKind.JET, e
+        if not space:
+            return sympy.Symbol(f"c{e.index}")
+        c = sympy.Function(f"c{e.index}")(*space)
+        pairs = [(s, n) for s, n in zip(space, e.orders) if n]
+        return c.diff(*pairs) if pairs else c
+    if isinstance(e, Func):
+        return getattr(sympy, e.name)(sympy_of_coefficient(e.arg, space, sympy))
+    if isinstance(e, Pow):
+        return sympy_of_coefficient(e.base, space, sympy) ** e.exponent
+    if isinstance(e, Add):
+        return sympy.Add(*(sympy_of_coefficient(p, space, sympy)
+                           for p in e.terms))
+    return sympy.Mul(*(sympy_of_coefficient(p, space, sympy)
+                       for p in e.factors))
+
+
+def sympy_disagreement(doc):
+    """(field, order) of the first solved coefficient that differs from
+    sympy's Taylor recursion, or None.
+    """
+    sympy = pytest.importorskip("sympy")
+    p = parse_problem(json.dumps(doc))
+    sol = lie_coefficients(p, ORACLE_ORDER, BUDGET)
+    want = sympy_taylor(doc, ORACLE_ORDER, sympy)
+    space = [sympy.Symbol(name) for name in p.space_names]
+    for n in range(ORACLE_ORDER + 1):
+        for field, column, theirs in zip(p.field_names, sol.coeffs, want):
+            got = sympy_of_coefficient(column[n], space, sympy)
+            if sympy.expand(got - theirs[n]) != 0:
+                return field, n
+    return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=documents(names=NAMES_WITH_X))
+def test_generated_series_agree_with_sympy(doc):
+    try:
+        assert sympy_disagreement(doc) is None
+    except ExpressionBlowup:
+        reject()
+
+
+def test_sympy_names_a_wrong_prolongation(monkeypatch):
+    # D_x(x*u_x) without x -> 1 drops u_x, so the order-2 coefficient,
+    # the first built from a prolonged rate, is wrong.
+    doc = {"kind": "pde", "time": {"name": "t", "initial": "0"},
+           "space": ["x"], "fields": ["u"], "rhs": {"u": "x*u_x"}}
+    assert sympy_disagreement(doc) is None
+    monkeypatch.setattr(lie, "total_derivative", forgets_x)
+    assert sympy_disagreement(doc) == ("u", 2)

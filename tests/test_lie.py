@@ -342,6 +342,21 @@ class TestEvalSeries:
             assert abs(value - math.exp(-0.2) * math.sin(x) * math.sin(y)) \
                 <= 1e-11
 
+    def test_mixed_jet_in_the_plane(self):
+        # u_t = -u_xy from sin(x + 2y) is e^(2t) sin(x + 2y); coefficient
+        # n is a multiple of the mixed jet c_x..xy..y, n of each.
+        p = parse_problem(json.dumps({
+            "kind": "pde", "time": {"name": "t", "initial": "0"},
+            "space": ["x", "y"], "fields": ["u"], "rhs": {"u": "u_xy"}}))
+        sol = lie_coefficients(p, 8)
+        assert residual_check(sol).detail == \
+            "residual zero through order 7 for fields u"
+        ic = [normalize(parse_expression("sin(x + 2*y)", p.context()))]
+        points = [[0.3, 0.7], [1.1, -0.4]]
+        for (x, y), bind in zip(points, initial_jet_bindings(sol, ic, points)):
+            (value,), = eval_series(sol, [0.1], bind)
+            assert abs(value - math.exp(0.2) * math.sin(x + 2 * y)) <= 1e-11
+
     def test_unbound_jet(self, riccati):
         sol = lie_coefficients(riccati, 4)
         with pytest.raises(UnboundSymbol):
